@@ -201,8 +201,8 @@ def run_parallel(*, quick: bool = False) -> dict:
 
     The acceptance workload is the 1M-row scan-filter-aggregate; join-probe
     and plain hash aggregation ride along.  Each worker count gets its own
-    Database over one shared dataset (column lists are reused, so only the
-    cached scans are rebuilt per engine).  Speedups are relative to the
+    Database over one shared dataset (the same value lists are appended to
+    each engine's columns).  Speedups are relative to the
     same build's ``workers=1`` run — on a single-core container they hover
     around 1x (``cpu_count`` is recorded alongside for honest reading).
     """

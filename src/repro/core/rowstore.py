@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..sqldb.database import Database
 from ..sqldb.schema import FunctionSignature
-from ..sqldb.storage import column_to_numpy
+from ..sqldb.vector import column_to_numpy
 from ..sqldb.types import SQLType
 
 
@@ -50,7 +50,7 @@ class ProcessingModelSimulator:
 
     def _input_columns(self, table: str, columns: Sequence[str]) -> list[list[Any]]:
         stored = self.database.storage.table(table)
-        return [list(stored.column(name).values) for name in columns]
+        return [stored.column(name).values for name in columns]
 
     # ------------------------------------------------------------------ #
     # operator-at-a-time (the MonetDB/Python model)
@@ -59,16 +59,14 @@ class ProcessingModelSimulator:
                                columns: Sequence[str]) -> ProcessingModelResult:
         """One invocation with whole numpy columns, as MonetDB does.
 
-        The columns are taken from the storage layer's cached numpy
-        materialisation, so repeated runs are a zero-copy handoff rather than
-        a fresh list-to-array conversion per call.
+        The columns are read-only views of the stored buffers, so repeated
+        runs are a zero-copy handoff rather than a conversion per call.
         """
         signature = self._signature(udf_name)
         self._check_arity(signature, columns)
         stored = self.database.storage.table(table)
         rows = stored.row_count
-        # views, not the cache arrays themselves: a view of the read-only
-        # cache cannot be flipped writable, so the shared cache stays intact
+        # views of read-only buffer owners: a UDF cannot flip them writable
         arrays = [stored.column(name).to_numpy().view() for name in columns]
         before = self.database.udf_runtime.invocation_counts.get(udf_name.lower(), 0)
         start = time.perf_counter()

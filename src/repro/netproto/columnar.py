@@ -43,9 +43,8 @@ import numpy as np
 
 from ..errors import WireFormatError
 from ..sqldb.result import QueryResult, ResultColumn
-from ..sqldb.storage import arrays_to_values
 from ..sqldb.types import SQLType
-from ..sqldb.vector import Vector
+from ..sqldb.vector import Vector, arrays_to_values
 from . import compression as compression_mod
 from .wire import decode_value, encode_value
 
@@ -348,6 +347,17 @@ class DecodedColumn:
             for index in np.flatnonzero(self.mask):
                 values[index] = None
         return values, None
+
+    def to_vector(self) -> Vector:
+        """This column as a :class:`Vector` (the storage load format):
+        fixed-width and dictionary columns wrap their buffers; var-width
+        columns are encoded from their decoded values."""
+        data, mask = self.materialise()
+        if isinstance(data, Vector):
+            return data
+        if isinstance(data, np.ndarray):
+            return Vector(data, mask, None, self.sql_type)
+        return Vector.from_values(data, self.sql_type)
 
 
 class _BlobReader:

@@ -188,8 +188,9 @@ class Executor:
         for chunk_start in range(start_row, total,
                                  self._WAL_INSERT_CHUNK_ROWS):
             chunk_stop = min(chunk_start + self._WAL_INSERT_CHUNK_ROWS, total)
-            rows = [[column.values[index] for column in table.columns]
-                    for index in range(chunk_start, chunk_stop)]
+            rows = [list(row) for row in zip(*(
+                column.to_vector().slice(chunk_start, chunk_stop).to_list()
+                for column in table.columns))]
             record: dict[str, Any] = {"op": "insert", "table": table.name,
                                       "rows": rows}
             if chunk_stop < total:
@@ -210,21 +211,6 @@ class Executor:
             return
         self._log_wal_group(
             self._insert_chunk_records(table, start_row, leader))
-
-    @staticmethod
-    def _rollback_inserted(table: Table, start_row: int) -> None:
-        """Undo rows appended since ``start_row`` (failed INSERT/COPY).
-
-        Keeps the statement atomic: without this, a coercion error halfway
-        through a multi-row insert — or a WAL append failure after the rows
-        were applied — would leave rows that are visible in memory but
-        absent from the WAL, so the live and recovered states of a
-        persistent database would silently diverge.
-        """
-        for column in table.columns:
-            if len(column.values) > start_row:
-                del column.values[start_row:]
-                column.mark_dirty()
 
     # ------------------------------------------------------------------ #
     # SELECT: planner + morsel driver
@@ -280,15 +266,14 @@ class Executor:
             )
             before = table.row_count
             try:
-                for row in result.rows():
-                    table.insert_row(row)
+                table.insert_rows(result.rows())
                 # the create_table record leads the insert group: recovery
                 # applies DDL and rows of one CTAS all-or-nothing
                 self._log_inserted(
                     table, before,
                     leader=self._create_table_record(table) if created else None)
             except Exception:
-                self._rollback_inserted(table, before)
+                table.truncate_to(before)
                 if created:
                     self.storage.drop_table(table.name, if_exists=True)
                 raise
@@ -319,16 +304,13 @@ class Executor:
         the in-memory rows back, so live state never diverges from what a
         crash would recover.
         """
-        inserted = 0
         before = table.row_count
         try:
-            for row in rows:
-                full_row = self._align_insert_row(table, columns, row)
-                table.insert_row(full_row)
-                inserted += 1
+            inserted = table.insert_rows(
+                self._align_insert_row(table, columns, row) for row in rows)
             self._log_inserted(table, before)
         except Exception:
-            self._rollback_inserted(table, before)
+            table.truncate_to(before)
             raise
         return inserted
 
@@ -470,7 +452,7 @@ class Executor:
             # the file may be gone (or different) when recovery replays
             self._log_inserted(table, before)
         except Exception:
-            self._rollback_inserted(table, before)
+            table.truncate_to(before)
             raise
         return QueryResult.empty(affected_rows=loaded, statement_type="COPY INTO")
 
@@ -553,14 +535,14 @@ class Executor:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _batch_from_table(table: Table, *, alias: str) -> Batch:
-        # near-zero-copy scan: share the storage layer's cached (read-only)
-        # arrays/vectors instead of copying every column per query
+        # zero-copy scan: read-only views of the stored buffers
         table.check_readable()
         from .expressions import BatchColumn
 
+        row_count = table.row_count
         columns = [
             BatchColumn(alias, column.name, column.sql_type,
-                        column.scan_values())
+                        column.scan_vector(0, row_count))
             for column in table.columns
         ]
-        return Batch(columns, row_count=table.row_count)
+        return Batch(columns, row_count=row_count)

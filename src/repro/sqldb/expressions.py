@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import ExecutionError
 from . import ast_nodes as ast
 from .aggregates import call_aggregate, is_aggregate
-from .functions import call_builtin_scalar, is_builtin_scalar
+from .functions import call_builtin_scalar, is_builtin_scalar, sql_mod
 from .types import SQLType, infer_sql_type, python_value
 from .udf import columns_to_udf_args, convert_scalar_result
 from .vector import (
@@ -138,7 +138,7 @@ class BatchColumn:
     """One column inside a batch, qualified by its source table alias.
 
     ``values`` is either a Python list or a (possibly shared, treat-as-
-    read-only) numpy array produced by the storage layer's cached scan.
+    read-only) numpy array or vector from a storage scan snapshot.
     """
 
     table: str | None
@@ -477,7 +477,7 @@ class ExpressionEvaluator:
     }
     _ARITH_UFUNCS = {
         "+": np.add, "-": np.subtract, "*": np.multiply,
-        "/": np.true_divide, "%": np.mod,
+        "/": np.true_divide, "%": np.fmod,
     }
 
     def _vector_binary(self, op: str, left: EvalResult, right: EvalResult,
@@ -721,7 +721,7 @@ class ExpressionEvaluator:
                 return left / right
             if right == 0:
                 raise ExecutionError("modulo by zero")
-            return left % right
+            return sql_mod(left, right)
         except TypeError as exc:
             raise ExecutionError(
                 f"invalid operands for {op!r}: {left!r}, {right!r}"
@@ -752,14 +752,17 @@ class ExpressionEvaluator:
         item_results = [self.evaluate(item) for item in node.items]
         if is_vector(operand.values) and all(
             result.constant and len(result.values) == 1
-            and result.values[0] is not None
-            and isinstance(result.values[0], (bool, int, float))
+            and (result.values[0] is None
+                 or isinstance(result.values[0], (bool, int, float)))
             for result in item_results
         ):
             members = [result.values[0] for result in item_results]
-            found = np.isin(operand.values, members)
-            return EvalResult(found != node.negated, constant=False,
-                              sql_type=SQLType.BOOLEAN)
+            found = np.isin(operand.values,
+                            [member for member in members if member is not None])
+            # a NULL member makes every non-match unknown, not false
+            unknown = ~found if None in members else None
+            return self._masked_result(found != node.negated, unknown,
+                                       SQLType.BOOLEAN, constant=False)
         length = self._element_length([operand] + item_results)
         operand_values = operand.broadcast(length)
         item_columns = [r.broadcast(length) for r in item_results]
@@ -769,8 +772,10 @@ class ExpressionEvaluator:
                 values.append(None)
                 continue
             members = [col[index] for col in item_columns]
-            found = any(member is not None and member == value for member in members)
-            values.append(found != node.negated)
+            if any(member is not None and member == value for member in members):
+                values.append(not node.negated)
+            else:
+                values.append(None if None in members else node.negated)
         constant = operand.constant and all(r.constant for r in item_results)
         return EvalResult(values, constant, SQLType.BOOLEAN)
 
@@ -900,10 +905,13 @@ class ExpressionEvaluator:
         result = self.database.execute_select(node.query)
         if result.column_count != 1:
             raise ExecutionError("IN subquery must return exactly one column")
-        members = set(value for value in result.columns[0].values if value is not None)
+        members = set(result.columns[0].values)
+        # a NULL member makes every non-match unknown, not false
+        miss = None if None in members else node.negated
         operand = self.evaluate(node.operand)
         values = [
-            None if value is None else ((value in members) != node.negated)
+            None if value is None
+            else (not node.negated if value in members else miss)
             for value in operand.values
         ]
         return EvalResult(values, operand.constant, SQLType.BOOLEAN)

@@ -40,6 +40,15 @@ def _sql_sign(value: float) -> int:
     return 0
 
 
+def sql_mod(left: Any, right: Any) -> Any:
+    """SQL ``%``/``MOD``: the remainder takes the sign of the dividend
+    (truncated division, as in sqlite, Postgres and MonetDB): -7 % 3 = -1."""
+    if isinstance(left, float) or isinstance(right, float):
+        return math.fmod(left, right)
+    remainder = abs(left) % abs(right)
+    return -remainder if left < 0 else remainder
+
+
 def _sql_log(value: float, base: float | None = None) -> float:
     if base is None:
         return math.log(value)
@@ -60,7 +69,7 @@ SCALAR_FUNCTIONS: dict[str, ScalarFunction] = {
     "LOG10": math.log10,
     "POWER": pow,
     "POW": pow,
-    "MOD": lambda a, b: a % b,
+    "MOD": sql_mod,
     "SIGN": _sql_sign,
     "GREATEST": max,
     "LEAST": min,

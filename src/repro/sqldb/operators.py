@@ -499,7 +499,7 @@ class Scan(PhysicalOperator):
 
     ``prepare`` binds the source (executing subqueries / table functions /
     virtual-table snapshots); ``batch_slice`` then serves zero-copy row-range
-    morsels — cached-scan slices for storage tables, list slices otherwise.
+    morsels — snapshot slices for storage tables, list slices otherwise.
     """
 
     name = "Scan"
@@ -514,8 +514,8 @@ class Scan(PhysicalOperator):
         self._batch: Batch | None = None
 
     def bind_table(self, table: Any) -> None:
-        """Snapshot a storage table's cached scans (zero-copy, consistent:
-        later mutations build new caches instead of touching these)."""
+        """Snapshot a storage table's columns (zero-copy, consistent: later
+        writes append past the snapshot or build new buffers)."""
         row_count = table.row_count
         columns = [
             BatchColumn(self.alias, column.name, column.sql_type,

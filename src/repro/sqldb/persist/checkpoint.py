@@ -11,8 +11,8 @@ The sequence is crash-safe at every boundary:
    instead of replaying records the image already contains.
 3. The WAL is reset to the new generation (truncate + fresh header, fsynced).
 
-Segment encoding reuses the live scan caches, so a checkpoint right after a
-big query is mostly I/O; conversely it leaves every cache warm.
+Segment encoding reads the stored column vectors directly: no value is
+converted, so a checkpoint is mostly compression and I/O.
 """
 
 from __future__ import annotations

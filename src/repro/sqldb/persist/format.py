@@ -51,7 +51,6 @@ from ...netproto.wire import decode_value, encode_value
 from ..catalog import FunctionCatalog
 from ..result import QueryResult, ResultColumn
 from ..storage import QuarantinedRange, Storage
-from ..vector import Vector
 from . import faults
 from .records import (
     schema_from_record,
@@ -97,11 +96,10 @@ class WriteStats:
 
 
 def _table_result(table: Any) -> QueryResult:
-    """A table's columns as a :class:`QueryResult` for the chunk encoder.
+    """A table's stored vectors as a :class:`QueryResult` for the encoder.
 
-    Vector-backed columns reuse the storage layer's cached scans, so a
-    checkpoint shares buffers with query execution instead of re-converting
-    every value; the string dictionary in particular ships zero-copy.
+    The stored buffers *are* the encoder's input: a checkpoint converts no
+    value, and the sorted string dictionary ships zero-copy.
     """
     return QueryResult([
         ResultColumn.from_vector(column.name, column.sql_type,
@@ -294,8 +292,7 @@ def read_database(path: str | os.PathLike[str], storage: Storage,
             # quarantine: NULL placeholders keep later segments' rows at
             # their original positions; the range is sealed on the table
             for column in table.columns:
-                column.values.extend([None] * seg_rows)
-                column.mark_dirty()
+                column.append_nulls(seg_rows)
             table.quarantine(QuarantinedRange(
                 table=schema.name, start_row=row_range[0],
                 stop_row=row_range[1], offset=seg_offset, reason=message))
@@ -319,13 +316,14 @@ def _load_segment(table: Any, blob: bytes,
                   path: str | os.PathLike[str]) -> int:
     """Decode one segment blob through the shared wire path into ``table``.
 
-    Decode is two-phase: every column's value list is materialised before
-    any column is touched, so a decode failure in column k can never leave
-    columns 0..k-1 one segment longer than the rest (the salvage loader
-    relies on a failed segment leaving the table exactly as it was).
+    Decode is two-phase: every column's vector is decoded before any column
+    is appended to, so a decode failure in column k can never leave columns
+    0..k-1 one segment longer than the rest (the salvage loader relies on a
+    failed segment leaving the table exactly as it was).
     """
     try:
         row_count, decoded = decode_chunk(blob)
+        vectors = [piece.to_vector() for piece in decoded]
     except Exception as exc:
         raise PersistenceError(f"segment decode failed: {exc}") from exc
     names = [column.name.lower() for column in table.columns]
@@ -333,34 +331,12 @@ def _load_segment(table: Any, blob: bytes,
         raise PersistenceError(
             f"database file {path}: segment columns do not match schema of "
             f"table {table.name!r}")
-    column_values: list[list[Any]] = []
-    for column, piece in zip(table.columns, decoded):
-        data, mask = piece.materialise()
-        if isinstance(data, Vector):
-            values = data.to_list()
-        elif isinstance(data, list):
-            values = data if mask is None else _apply_mask(data, mask)
-        else:  # ndarray
-            values = data.tolist()
-            if mask is not None:
-                values = _apply_mask(values, mask)
-        if len(values) != row_count:
-            raise PersistenceError(
-                f"database file {path}: segment column {column.name!r} "
-                f"length mismatch")
-        column_values.append(values)
-    for column, values in zip(table.columns, column_values):
-        # values came out of the storage layer once already (coerced on the
-        # original insert), so they append verbatim; the scan caches of a
-        # freshly created column are empty, but mark dirty anyway so partial
-        # loads after a raised error can never serve a stale materialisation
-        column.values.extend(values)
-        column.mark_dirty()
+    if any(len(vector) != row_count for vector in vectors):
+        raise PersistenceError(
+            f"database file {path}: segment column length mismatch")
+    for column, vector in zip(table.columns, vectors):
+        column.append_vector(vector)
     return row_count
-
-
-def _apply_mask(values: list[Any], mask: Any) -> list[Any]:
-    return [None if null else value for value, null in zip(values, mask)]
 
 
 # --------------------------------------------------------------------------- #

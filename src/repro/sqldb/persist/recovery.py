@@ -186,9 +186,8 @@ def _targets_quarantined(database: "Database", record: dict[str, Any]) -> bool:
 def apply_record(database: "Database", record: dict[str, Any]) -> None:
     """Apply one logical WAL record to the database's in-memory state.
 
-    Mutations go through the storage layer's public entry points, so cache
-    invalidation and value coercion behave exactly as they did when the
-    original statement ran.
+    Mutations go through the storage layer's public entry points, so value
+    coercion behaves exactly as it did when the original statement ran.
     """
     op = record.get("op")
     storage = database.storage

@@ -1,33 +1,31 @@
 """Columnar storage engine.
 
-Tables are stored column-at-a-time (MonetDB's BAT layout, simplified): each
-column is a Python list, NULLs are ``None``.  Every column additionally keeps
-cached vectorised materialisations with dirty-bit invalidation: scans and UDF
-handoffs reuse the same buffers until the column is mutated, mirroring
-MonetDB/Python's zero-copy handoff instead of re-converting per query.
+Tables are stored column-at-a-time (MonetDB's BAT layout, simplified).  Every
+column is a :class:`repro.sqldb.vector.Vector` kept as append-only typed
+buffers — the very representation scans, UDF handoffs, checkpoints and the
+wire encoder consume, so there is no second format to convert or cache:
 
-Two cached scan shapes exist per column:
+* the value buffer is ``int64``/``float64``/``bool`` (an object array for
+  BLOB) and grows by capacity doubling;
+* a boolean validity mask (``True`` = NULL) is allocated on the first NULL.
+  The mask, never the ``NULL_FILL`` placeholder in the value buffer, is the
+  source of truth for NULLs, so ``""``, ``0`` and ``False`` round-trip;
+* STRING columns store ``int64`` codes into a **sorted** dictionary, so code
+  order is string order.  A batch with unseen strings merges the dictionary
+  once and remaps the stored codes into a new buffer.
 
-* :meth:`Column.to_numpy` — the UDF handoff format (typed array, or an
-  object array holding ``None`` for NULL-bearing / string columns).
-* :meth:`Column.scan_values` — the executor's batch format: NULL-free
-  numeric columns stay plain typed arrays; NULL-bearing numeric columns and
-  STRING columns become a :class:`repro.sqldb.vector.Vector` (contiguous
-  typed values + boolean validity mask + optional sorted string dictionary
-  with ``int64`` codes), which is what keeps filters, joins, GROUP BY and
-  aggregates vectorised on exactly the columns that previously fell back to
-  object arrays.
-
-The ``(data array, null mask)`` buffer-pair exporters at the bottom are the
-wire-format shape; the mask — never the ``_NULL_FILL`` placeholder written
-into the data buffer — is the only source of truth for NULLs, so values that
-happen to equal a placeholder (``""``, ``0``, ``False``) round-trip intact.
+A scan (:meth:`Column.to_vector`) is an O(1) snapshot ``(data[:n], mask[:n],
+dictionary)`` of read-only views, read from one atomically replaced state
+tuple.  The snapshot invariant: nothing a snapshot can see is written again.
+Appends write only past ``n``; a dictionary merge remaps into a new buffer;
+UPDATE, DELETE and TRUNCATE build new buffers (copy-on-write).  A streamed
+SELECT running lock-free on its snapshot thus stays isolated from later
+statements without a lock, a cache or invalidation.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,26 +33,52 @@ import numpy as np
 from ..errors import CatalogError, CorruptionError, ExecutionError
 from .schema import ColumnDef, TableSchema
 from .types import NUMPY_DTYPES, SQLType, coerce_value
-from .vector import NULL_FILL, Vector, slice_column_values
+from .vector import NULL_CODE, NULL_FILL, Vector, slice_column_values
 
 
-@dataclass
+def _sealed(array: np.ndarray) -> np.ndarray:
+    """A writable view of ``array`` whose owner becomes read-only.
+
+    Storage writes through the view and snapshots slice the owner, so no
+    scan or UDF can flip a snapshot writable and reach the stored bytes.
+    """
+    if array.base is not None:  # already sealed
+        return array
+    view = array[:]
+    array.setflags(write=False)
+    return view
+
+
+def _grown(buffer: np.ndarray, length: int, capacity: int) -> np.ndarray:
+    grown = np.empty(capacity, dtype=buffer.dtype)
+    grown[:length] = buffer[:length]
+    return grown
+
+
+def _compacted(codes: np.ndarray, dictionary: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Drop dictionary entries no code refers to (after a rewrite)."""
+    used = np.zeros(len(dictionary) + 1, dtype=bool)
+    used[codes] = True  # NULL_CODE (-1) lands in the spare last slot
+    used = used[:-1]
+    if used.all():
+        return codes, dictionary
+    remap = np.append(np.cumsum(used) - 1, NULL_CODE)
+    return remap[codes], dictionary[used]
+
+
 class Column:
-    """A single stored column with a cached numpy materialisation."""
+    """One stored column: append-only typed buffers behind O(1) snapshots."""
 
-    definition: ColumnDef
-    values: list[Any] = field(default_factory=list)
-    _array_cache: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _vector_cache: Vector | None = field(
-        default=None, init=False, repr=False, compare=False)
-    #: Guards cache build and invalidation: concurrent morsel scans (and
-    #: multi-threaded embedders) may race a cache build against a mutation.
-    #: A build that loses the race is simply discarded by the subsequent
-    #: ``mark_dirty`` — the lock only has to make build-and-store atomic
-    #: with respect to invalidation.
-    _cache_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False)
+    __slots__ = ("definition", "_state")
+
+    def __init__(self, definition: ColumnDef) -> None:
+        self.definition = definition
+        #: ``(data, mask or None, dictionary or None, row count)``, replaced
+        #: as a whole so a concurrent reader never sees a torn state.
+        self._state: tuple[np.ndarray, np.ndarray | None,
+                           np.ndarray | None, int]
+        self.truncate()
 
     @property
     def name(self) -> str:
@@ -64,153 +88,159 @@ class Column:
     def sql_type(self) -> SQLType:
         return self.definition.sql_type
 
-    def append(self, value: Any) -> None:
-        self.values.append(coerce_value(value, self.sql_type))
-        self.mark_dirty()
+    def __len__(self) -> int:
+        return self._state[3]
 
-    def extend(self, values: Iterable[Any]) -> None:
-        # coerce everything *before* touching the stored list: a coercion
-        # error halfway through a lazy generator would otherwise leave the
-        # column partially extended with the scan caches never invalidated
-        sql_type = self.sql_type
-        coerced = [coerce_value(value, sql_type) for value in values]
-        self.values.extend(coerced)
-        self.mark_dirty()
-
-    def mark_dirty(self) -> None:
-        """Invalidate the cached scans after an in-place mutation of values."""
-        with self._cache_lock:
-            self._array_cache = None
-            self._vector_cache = None
-
-    def to_numpy(self) -> np.ndarray:
-        """Materialise this column as a numpy array (the UDF input format).
-
-        The array is cached and reused until the column is mutated, so
-        repeated scans and UDF handoffs are near-zero-copy.  Callers must
-        treat the returned array as read-only.
-        """
-        array = self._array_cache
-        if array is None:
-            with self._cache_lock:
-                array = self._array_cache
-                if array is None:
-                    array = column_to_numpy(self.values, self.sql_type)
-                    # the cache is shared across scans and UDF invocations:
-                    # writing through it would corrupt stored data, so fail
-                    # loudly instead
-                    array.setflags(write=False)
-                    self._array_cache = array
-        return array
-
+    # ------------------------------------------------------------------ #
+    # reads
+    # ------------------------------------------------------------------ #
     def to_vector(self) -> Vector:
-        """Materialise this column as a :class:`Vector` (cached, read-only)."""
-        vector = self._vector_cache
-        if vector is None:
-            with self._cache_lock:
-                vector = self._vector_cache
-                if vector is None:
-                    vector = Vector.from_values(self.values, self.sql_type)
-                    vector.data.setflags(write=False)
-                    if vector.mask is not None:
-                        vector.mask.setflags(write=False)
-                    self._vector_cache = vector
-        return vector
-
-    def scan_values(self) -> Any:
-        """The batch representation the executor scans.
-
-        NULL-free numeric/boolean columns stay the cached typed array (the
-        PR 1 zero-copy format); STRING columns and NULL-bearing numeric
-        columns become a cached :class:`Vector`; BLOB columns keep the
-        object-array format.
-        """
-        sql_type = self.sql_type
-        if sql_type is SQLType.BLOB:
-            return self.to_numpy()
-        if sql_type is SQLType.STRING:
-            return self.to_vector()
-        # a live cache settles the NULL-free question without rescanning
-        if self._vector_cache is not None:
-            return self._vector_cache
-        if self._array_cache is not None and self._array_cache.dtype != object:
-            return self._array_cache
-        if any(value is None for value in self.values):
-            return self.to_vector()
-        return self.to_numpy()
+        """A snapshot of the stored rows: read-only views, no copy."""
+        data, mask, dictionary, length = self._state
+        # slices of the read-only owners (see _sealed), not of the writers
+        return Vector(data.base[:length],
+                      None if mask is None else mask.base[:length],
+                      dictionary, self.sql_type)
 
     def scan_vector(self, start: int, stop: int) -> Any:
-        """A zero-copy row-range slice of this column's cached scan.
+        """Rows ``[start, stop)`` of a snapshot in the executor's format:
+        a typed array for NULL-free numeric/boolean columns, an object array
+        (``None`` at NULLs) for BLOB, else the :class:`Vector`."""
+        vector = self.to_vector()
+        if self.sql_type is SQLType.BLOB or (
+                vector.mask is None and vector.dictionary is None):
+            return slice_column_values(vector.to_numpy(), start, stop)
+        return slice_column_values(vector, start, stop)
 
-        Returns the same representation :meth:`scan_values` would — a typed
-        ndarray view or a :class:`Vector` slice sharing data/mask/dictionary
-        buffers — restricted to rows ``[start, stop)``.  This is the storage
-        entry point for morsel-driven scans: N morsels share one cached
-        materialisation and never copy column data.
+    def to_numpy(self) -> np.ndarray:
+        """The UDF handoff format (read-only), derived from a snapshot."""
+        return self.to_vector().to_numpy()
+
+    @property
+    def values(self) -> list[Any]:
+        """The stored rows as Python values (``None`` = NULL); a copy."""
+        return self.to_vector().to_list()
+
+    @values.setter
+    def values(self, values: Sequence[Any]) -> None:
+        # bulk loaders assign already-typed lists: no per-value coercion
+        self.truncate()
+        self.append_vector(Vector.from_values(values, self.sql_type))
+
+    def mark_dirty(self) -> None:
+        """No-op kept for bulk loaders that still call it after assigning
+        :attr:`values` (``perfbench/workloads.py``): there is no cache."""
+
+    # ------------------------------------------------------------------ #
+    # writes: append past the end, rewrite by copy
+    # ------------------------------------------------------------------ #
+    def coerce(self, values: Iterable[Any]) -> Vector:
+        """``values`` coerced to this column's type, as a vector."""
+        sql_type = self.sql_type
+        return Vector.from_values(
+            [coerce_value(value, sql_type) for value in values], sql_type)
+
+    def append(self, value: Any) -> None:
+        self.append_vector(self.coerce([value]))
+
+    def extend(self, values: Iterable[Any]) -> None:
+        self.append_vector(self.coerce(values))
+
+    def append_nulls(self, count: int) -> None:
+        """Append ``count`` NULL rows (the salvage loader's placeholders)."""
+        data, _, dictionary, _ = self._state
+        fill = NULL_FILL[self.sql_type] if dictionary is None else NULL_CODE
+        self.append_vector(Vector(np.full(count, fill, dtype=data.dtype),
+                                  np.ones(count, dtype=bool), dictionary,
+                                  self.sql_type))
+
+    def append_vector(self, vector: Vector) -> None:
+        """Append ``vector``'s rows; the only write into existing buffers,
+        and it lands past the end of every snapshot."""
+        codes = self._codes(vector)
+        data, mask, dictionary, length = self._state
+        stop = length + len(codes)
+        if stop > len(data):
+            capacity = max(stop, 2 * len(data))
+            data = _grown(data, length, capacity)
+            if mask is not None:
+                mask = _grown(mask, length, capacity)
+        data = _sealed(data)
+        data[length:stop] = codes
+        if mask is None and vector.mask is not None:
+            mask = np.zeros(len(data), dtype=bool)
+        if mask is not None:
+            mask = _sealed(mask)
+            mask[length:stop] = False if vector.mask is None else vector.mask
+        self._state = (data, mask, dictionary, stop)
+
+    def assign(self, indices: np.ndarray, vector: Vector) -> None:
+        """UPDATE: new buffers with the rows at ``indices`` replaced."""
+        codes = self._codes(vector)
+        data, mask, dictionary, length = self._state
+        data = data[:length].copy()
+        data[indices] = codes
+        if mask is not None or vector.mask is not None:
+            mask = np.zeros(length, dtype=bool) if mask is None \
+                else mask[:length].copy()
+            mask[indices] = False if vector.mask is None else vector.mask
+        self._rewrite(data, mask, dictionary)
+
+    def keep(self, keep: np.ndarray) -> None:
+        """DELETE: new buffers holding only the rows where ``keep``."""
+        data, mask, dictionary, length = self._state
+        self._rewrite(data[:length][keep],
+                      None if mask is None else mask[:length][keep],
+                      dictionary)
+
+    def truncate(self, length: int = 0) -> None:
+        """Drop the rows past ``length``; ``0`` starts over on new buffers.
+
+        A non-zero ``length`` only rolls back the rows a failing statement
+        appended, which no snapshot outside that statement can hold.
         """
-        return slice_column_values(self.scan_values(), start, stop)
+        if length:
+            self._state = self._state[:3] + (length,)
+            return
+        is_string = self.sql_type is SQLType.STRING
+        dtype = np.int64 if is_string else NUMPY_DTYPES[self.sql_type]
+        self._store(np.empty(0, dtype), None,
+                    np.empty(0, dtype=object) if is_string else None, 0)
 
-    def __len__(self) -> int:
-        return len(self.values)
+    def _store(self, data: np.ndarray, mask: np.ndarray | None,
+               dictionary: np.ndarray | None, length: int) -> None:
+        if dictionary is not None:
+            dictionary.setflags(write=False)
+        self._state = (_sealed(data), None if mask is None else _sealed(mask),
+                       dictionary, length)
 
+    def _rewrite(self, data: np.ndarray, mask: np.ndarray | None,
+                 dictionary: np.ndarray | None) -> None:
+        if mask is not None and not mask.any():
+            mask = None
+        if dictionary is not None:
+            data, dictionary = _compacted(data, dictionary)
+        self._store(data, mask, dictionary, len(data))
 
-def column_to_numpy(values: Sequence[Any], sql_type: SQLType) -> np.ndarray:
-    """Convert a list of SQL values to the numpy array handed to UDFs.
-
-    Columns containing NULLs fall back to an object array so that ``None``
-    survives the conversion (MonetDB uses masked arrays; an object array keeps
-    the reproduction dependency-light while preserving the observable
-    behaviour that UDFs can see missing values).
-    """
-    dtype = NUMPY_DTYPES[sql_type]
-    if any(value is None for value in values):
-        return np.array(list(values), dtype="object")
-    if dtype == "object":
-        array = np.empty(len(values), dtype="object")
-        for index, value in enumerate(values):
-            array[index] = value
-        return array
-    return np.array(list(values), dtype=dtype)
-
-
-#: NULL placeholder stored in the value buffer at masked positions (the
-#: null bitmap, not the placeholder, is authoritative).  One table shared
-#: with the vector representation so scan and wire formats cannot diverge.
-_NULL_FILL = NULL_FILL
-
-
-def values_to_arrays(values: Sequence[Any],
-                     sql_type: SQLType) -> tuple[np.ndarray, np.ndarray | None]:
-    """Export a value list as ``(data array, null mask)`` buffer pair.
-
-    This is the wire-export shape: a contiguous typed data array with NULL
-    positions filled by a placeholder, plus a boolean mask that is ``None``
-    when the column has no NULLs.  The inverse is :func:`arrays_to_values`.
-    """
-    dtype = NUMPY_DTYPES[sql_type]
-    mask: np.ndarray | None = None
-    if any(value is None for value in values):
-        mask = np.fromiter((value is None for value in values),
-                           dtype=bool, count=len(values))
-        fill = _NULL_FILL[sql_type]
-        values = [fill if value is None else value for value in values]
-    if dtype == "object":
-        data = np.empty(len(values), dtype="object")
-        for index, value in enumerate(values):
-            data[index] = value
-    else:
-        data = np.array(list(values), dtype=dtype)
-    return data, mask
-
-
-def arrays_to_values(data: np.ndarray | Sequence[Any],
-                     mask: np.ndarray | None = None) -> list[Any]:
-    """Import a ``(data, mask)`` buffer pair back into a plain value list."""
-    values = data.tolist() if isinstance(data, np.ndarray) else list(data)
-    if mask is not None:
-        for index in np.flatnonzero(mask):
-            values[index] = None
-    return values
+    def _codes(self, vector: Vector) -> np.ndarray:
+        """``vector``'s data in this column's encoding.  For STRING, maps
+        its dictionary into the column's; unseen strings first merge the
+        dictionary and remap the stored codes into a new buffer."""
+        if self.sql_type is not SQLType.STRING:
+            return vector.data
+        incoming = vector.dictionary
+        data, mask, dictionary, length = self._state
+        positions = np.searchsorted(dictionary, incoming)
+        if len(incoming) and not (len(dictionary) and np.all(
+                dictionary[np.minimum(positions, len(dictionary) - 1)]
+                == incoming)):
+            merged = np.unique(np.concatenate([dictionary, incoming]))
+            remap = np.append(np.searchsorted(merged, dictionary), NULL_CODE)
+            remapped = np.empty(len(data), dtype=np.int64)
+            remapped[:length] = remap[data[:length]]
+            self._store(remapped, mask, merged, length)
+            positions = np.searchsorted(merged, incoming)
+        return np.append(positions, NULL_CODE)[vector.data]
 
 
 @dataclass(frozen=True)
@@ -293,76 +323,63 @@ class Table:
             offset=first.offset)
 
     # ------------------------------------------------------------------ #
-    # mutation
+    # mutation: every value is coerced before any column is touched, so a
+    # bad value fails the statement with the table unchanged (never ragged)
     # ------------------------------------------------------------------ #
     def insert_row(self, values: Sequence[Any]) -> None:
-        if len(values) != len(self.columns):
-            raise ExecutionError(
-                f"INSERT into {self.name!r}: expected {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
-        # coerce the whole row up front so a bad value in column k cannot
-        # leave columns 0..k-1 one row longer than the rest (ragged table)
-        coerced = [coerce_value(value, column.sql_type)
-                   for column, value in zip(self.columns, values)]
-        for column, value in zip(self.columns, coerced):
-            column.values.append(value)
-            column.mark_dirty()
+        self.insert_rows([values])
 
     def insert_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        count = 0
+        """Append a batch of rows, one append per column; returns the count."""
+        rows = list(rows)
         for row in rows:
-            self.insert_row(row)
-            count += 1
-        return count
+            if len(row) != len(self.columns):
+                raise ExecutionError(
+                    f"INSERT into {self.name!r}: expected "
+                    f"{len(self.columns)} values, got {len(row)}")
+        vectors = [column.coerce([row[index] for row in rows])
+                   for index, column in enumerate(self.columns)]
+        for column, vector in zip(self.columns, vectors):
+            column.append_vector(vector)
+        return len(rows)
+
+    def truncate_to(self, row_count: int) -> None:
+        """Roll back the rows appended since ``row_count``.
+
+        A failed INSERT/COPY/CTAS calls this whether coercion or the WAL
+        append failed, so the rows in memory never diverge from what a
+        crash would recover.
+        """
+        for column in self.columns:
+            column.truncate(row_count)
 
     def delete_rows(self, keep_mask: Sequence[bool]) -> int:
         """Keep only rows where ``keep_mask`` is True; return rows removed."""
         self.check_readable()
-        if len(keep_mask) != self.row_count:
+        keep = np.asarray(keep_mask, dtype=bool)
+        if len(keep) != self.row_count:
             raise ExecutionError("DELETE mask length mismatch")
-        removed = sum(1 for keep in keep_mask if not keep)
         for column in self.columns:
-            column.values = [
-                value for value, keep in zip(column.values, keep_mask) if keep
-            ]
-            column.mark_dirty()
-        return removed
+            column.keep(keep)
+        return len(keep) - int(np.count_nonzero(keep))
 
     def update_rows(self, mask: Sequence[bool], assignments: dict[str, list[Any]]) -> int:
-        """Apply per-row new values for the columns in ``assignments`` where mask is True.
-
-        All values are coerced before any column is touched: a bad value
-        must fail the whole statement, not leave some rows updated with the
-        scan caches never invalidated (the caches would then serve data the
-        stored lists no longer contain).
-        """
+        """Set each assigned column to its per-row new value where ``mask``."""
         self.check_readable()
-        coerced: dict[str, list[tuple[int, Any]]] = {}
-        for col_name, new_values in assignments.items():
-            column = self.column(col_name)
-            coerced[col_name] = [
-                (index, coerce_value(new_value, column.sql_type))
-                for index, (selected, new_value) in enumerate(zip(mask, new_values))
-                if selected
-            ]
-        for col_name, updates in coerced.items():
-            column = self.column(col_name)
-            try:
-                for index, value in updates:
-                    column.values[index] = value
-            finally:
-                # invalidate even on an impossible mid-write failure: a
-                # partially updated column must never serve a stale cache
-                column.mark_dirty()
-        return sum(1 for selected in mask if selected)
+        selected = np.flatnonzero(np.asarray(mask, dtype=bool))
+        updates = [(self.column(name),
+                    self.column(name).coerce(values[index]
+                                             for index in selected.tolist()))
+                   for name, values in assignments.items()]
+        for column, vector in updates:
+            column.assign(selected, vector)
+        return len(selected)
 
     def truncate(self) -> None:
         # explicit destruction discards quarantined placeholders with the
         # data, so a salvaged table becomes writable again
         for column in self.columns:
-            column.values = []
-            column.mark_dirty()
+            column.truncate()
         self.quarantined.clear()
 
     # ------------------------------------------------------------------ #
@@ -370,12 +387,11 @@ class Table:
     # ------------------------------------------------------------------ #
     def rows(self) -> Iterator[tuple[Any, ...]]:
         self.check_readable()
-        for index in range(self.row_count):
-            yield tuple(column.values[index] for column in self.columns)
+        return zip(*(column.values for column in self.columns))
 
     def to_dict(self) -> dict[str, list[Any]]:
         self.check_readable()
-        return {column.name: list(column.values) for column in self.columns}
+        return {column.name: column.values for column in self.columns}
 
     def to_numpy_dict(self) -> dict[str, np.ndarray]:
         self.check_readable()

@@ -94,6 +94,9 @@ class ColumnType:
         return f"{self.sql_type}{suffix}"
 
 
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
 def coerce_value(value: Any, sql_type: SQLType) -> Any:
     """Coerce a Python value to the representation used for ``sql_type``.
 
@@ -112,7 +115,12 @@ def coerce_value(value: Any, sql_type: SQLType) -> Any:
                 raise TypeMismatchError(
                     f"cannot store non-integral value {value!r} in {sql_type}"
                 )
-            return int(value)
+            integer = int(value)
+            # both integer types are stored as int64
+            if not _INT64_MIN <= integer <= _INT64_MAX:
+                raise TypeMismatchError(
+                    f"integer {integer} out of range for {sql_type} (64-bit)")
+            return integer
         if sql_type.is_floating:
             return float(value)
         if sql_type is SQLType.STRING:
@@ -136,7 +144,7 @@ def coerce_value(value: Any, sql_type: SQLType) -> Any:
             raise TypeMismatchError(f"cannot store {type(value).__name__} as BLOB")
     except TypeMismatchError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TypeMismatchError(
             f"cannot coerce {value!r} to {sql_type}: {exc}"
         ) from exc

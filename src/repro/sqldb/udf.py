@@ -17,9 +17,8 @@ import numpy as np
 
 from ..errors import UDFError
 from .schema import FunctionSignature
-from .storage import column_to_numpy
 from .types import SQLType, coerce_value
-from .vector import Vector
+from .vector import Vector, column_to_numpy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
@@ -91,7 +90,7 @@ def columns_to_udf_args(
 ) -> list[Any]:
     """Convert evaluated argument columns/scalars to the UDF input format.
 
-    Columns that are already numpy arrays (the cached zero-copy scan format)
+    Columns that are already numpy arrays (the zero-copy scan format)
     are handed to the UDF without re-conversion.  All column arguments are
     read-only, regardless of which execution path produced them: the zero-copy
     handoff means a write could reach shared engine state, so mutation fails

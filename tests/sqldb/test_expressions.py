@@ -165,3 +165,25 @@ class TestHelpers:
         assert default_output_name(parse_expression("foo"), 0) == "foo"
         assert default_output_name(parse_expression("SUM(i)"), 0) == "sum"
         assert default_output_name(parse_expression("1 + 2"), 3) == "col3"
+
+
+class TestModuloSign:
+    """``%`` and ``MOD`` take the sign of the dividend (sqlite, Postgres,
+    MonetDB), in the per-element tier and the vector kernel alike."""
+
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT (0 - 7) % 3", -1),
+        ("SELECT 7 % (0 - 3)", 1),
+        ("SELECT (0 - 6) % 3", 0),
+        ("SELECT (0 - 7.5) % 2", -1.5),
+        ("SELECT MOD(0 - 7, 3)", -1),
+    ])
+    def test_per_element_tier(self, sql, expected):
+        assert Database().execute(sql).scalar() == expected
+
+    def test_vector_tier(self):
+        db = Database()
+        db.execute("CREATE TABLE m (k INTEGER, x DOUBLE)")
+        db.execute("INSERT INTO m VALUES (-7, -7.5), (7, 7.5), (-6, -6.0)")
+        assert db.execute("SELECT k % 3, x % 2, k % (0 - 3) FROM m").fetchall() \
+            == [(-1, -1.5, -1), (1, 1.5, 1), (0, -0.0, 0)]

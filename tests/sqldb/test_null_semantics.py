@@ -38,7 +38,8 @@ class TestNullFilters:
 
     def test_filter_runs_on_vector_path(self, db):
         """The predicate over a NULL-bearing column must stay typed."""
-        batch_column = db.storage.table("t").column("v").scan_values()
+        column = db.storage.table("t").column("v")
+        batch_column = column.scan_vector(0, len(column))
         assert isinstance(batch_column, Vector)
         assert batch_column.data.dtype == np.float64
 
@@ -311,3 +312,35 @@ class TestDistinctAndCase:
         # NULL > 5 is not true -> ELSE branch, matching the seed behaviour
         assert got == [("big",), ("small",), ("big",), ("big",),
                        ("small",), ("small",), ("small",)]
+
+
+class TestInWithNullMembers:
+    """``x IN (..., NULL)`` is NULL, not false, when nothing matches."""
+
+    @pytest.mark.parametrize("sql,expected", [
+        ("SELECT 1 IN (2, NULL)", None),
+        ("SELECT 2 NOT IN (1, NULL)", None),
+        ("SELECT 1 IN (1, NULL)", True),
+        ("SELECT 1 NOT IN (1, NULL)", False),
+        ("SELECT 1 IN (NULL)", None),
+    ])
+    def test_per_element_tier(self, sql, expected):
+        assert Database().execute(sql).scalar() is expected
+
+    def test_vector_tier(self):
+        db = Database()
+        db.execute("CREATE TABLE n (k INTEGER)")
+        db.execute("INSERT INTO n VALUES (1), (2), (3)")
+        assert rows(db, "SELECT k IN (1, NULL), k NOT IN (1, NULL) FROM n") \
+            == [(True, False), (None, None), (None, None)]
+        assert rows(db, "SELECT k FROM n WHERE k NOT IN (1, NULL)") == []
+        assert rows(db, "SELECT k FROM n WHERE k IN (3, NULL)") == [(3,)]
+
+    def test_subquery_with_null_member(self, db):
+        assert rows(db, "SELECT k FROM t WHERE k NOT IN "
+                        "(SELECT k FROM t WHERE name = 'b')") == []
+        assert rows(db, "SELECT DISTINCT k FROM t WHERE k IN "
+                        "(SELECT k FROM t WHERE name = 'b')") == [(2,)]
+        assert rows(db, "SELECT k FROM t WHERE k NOT IN "
+                        "(SELECT k FROM t WHERE k > 1) ORDER BY k") \
+            == [(1,), (1,)]

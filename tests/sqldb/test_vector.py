@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.sqldb.storage import (
-    Column,
-    arrays_to_values,
-    values_to_arrays,
-)
+from repro.sqldb.storage import Column
 from repro.sqldb.schema import ColumnDef
 from repro.sqldb.types import ColumnType, SQLType
 from repro.sqldb.vector import (
     NULL_CODE,
     Vector,
+    arrays_to_values,
     combine_masks,
     remap_to_shared_dictionary,
+    values_to_arrays,
     vector_parts,
 )
 
@@ -128,39 +126,44 @@ class TestVectorParts:
         assert combine_masks(a, b).tolist() == [True, True]
 
 
+def scan(column):
+    return column.scan_vector(0, len(column))
+
+
 class TestColumnScanValues:
     def test_null_free_numeric_stays_plain_array(self):
         column = make_column(SQLType.INTEGER, [1, 2, 3])
-        scanned = column.scan_values()
+        scanned = scan(column)
         assert isinstance(scanned, np.ndarray)
         assert scanned.dtype == np.int64
 
     def test_nullable_numeric_becomes_vector(self):
         column = make_column(SQLType.DOUBLE, [1.0, None])
-        scanned = column.scan_values()
+        scanned = scan(column)
         assert isinstance(scanned, Vector)
         assert scanned.data.dtype == np.float64  # no object-array fallback
 
     def test_string_column_becomes_dictionary_vector(self):
         column = make_column(SQLType.STRING, ["x", "y", "x"])
-        scanned = column.scan_values()
+        scanned = scan(column)
         assert isinstance(scanned, Vector)
         assert scanned.is_dict
 
-    def test_scan_cache_invalidated_on_mutation(self):
+    def test_append_never_changes_an_earlier_scan(self):
         column = make_column(SQLType.STRING, ["x"])
-        first = column.scan_values()
-        assert column.scan_values() is first  # cached
-        column.append("y")
-        second = column.scan_values()
-        assert second is not first
-        assert second.to_list() == ["x", "y"]
+        first = scan(column)
+        column.append("a")  # sorts before "x": the dictionary is merged
+        second = scan(column)
+        assert first.to_list() == ["x"]
+        assert first.dictionary.tolist() == ["x"]
+        assert second.to_list() == ["x", "a"]
+        assert second.dictionary.tolist() == ["a", "x"]
 
     def test_scan_representation_follows_nulls(self):
         column = make_column(SQLType.INTEGER, [1, 2])
-        assert isinstance(column.scan_values(), np.ndarray)
+        assert isinstance(scan(column), np.ndarray)
         column.append(None)
-        assert isinstance(column.scan_values(), Vector)
+        assert isinstance(scan(column), Vector)
 
 
 class TestBufferPairRoundTrip:

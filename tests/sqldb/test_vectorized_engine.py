@@ -1,6 +1,6 @@
 """Tests for the vectorised execution engine.
 
-Covers the storage layer's cached numpy materialisation, the hash-join vs
+Covers the storage layer's zero-copy numpy handoff, the hash-join vs
 nested fallback equivalence, hash aggregation vs the per-group path, and the
 NULL-ordering guarantees of the vectorised ORDER BY.
 """
@@ -23,7 +23,7 @@ def make_table(name: str = "t") -> Table:
 
 
 # --------------------------------------------------------------------------- #
-# storage: cached to_numpy with dirty-bit invalidation
+# storage: to_numpy views of the stored buffers, new buffers on rewrite
 # --------------------------------------------------------------------------- #
 class TestColumnArrayCache:
     def test_repeated_to_numpy_returns_cached_array(self):
@@ -31,7 +31,8 @@ class TestColumnArrayCache:
         table.insert_rows([(1, "a"), (2, "b")])
         column = table.column("i")
         first = column.to_numpy()
-        assert column.to_numpy() is first
+        # no re-materialisation: both are views of the stored buffer
+        assert np.shares_memory(column.to_numpy(), first)
 
     def test_cached_array_is_read_only(self):
         table = make_table()
