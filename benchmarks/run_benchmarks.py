@@ -13,7 +13,9 @@ Three suites, selectable with ``--suite``:
   The legacy baselines are measured live so the speedup is same-machine.
 * ``persist``  — durable storage: insert throughput with write-ahead logging
   (vs in-memory, and with per-statement fsync), checkpoint time, cold-open
-  and WAL-recovery time at 1M rows, written to ``BENCH_persist.json``.
+  and WAL-recovery time at 1M rows, and one-row INSERTs of unseen strings
+  into a 1M-distinct STRING column plus their WAL replay, written to
+  ``BENCH_persist.json``.
 
 Usage::
 
@@ -305,6 +307,67 @@ def run_obs_overhead(*, quick: bool = False) -> dict:
 # --------------------------------------------------------------------------- #
 # persist (durable storage) suite
 # --------------------------------------------------------------------------- #
+def unique_string_case(workdir: Path, rows: int, inserts: int) -> dict:
+    """One-row INSERTs into a STRING column of ``rows`` distinct values,
+    then the reopen that replays them from the WAL.
+
+    Each inserted string is unseen and sorts inside the existing values,
+    so every statement extends the middle of the column's dictionary.
+    The reopen is timed alone and up to the first query over the strings.
+    """
+    from repro.sqldb.persist import wal_path_for
+
+    path = workdir / "unique.db"
+    database = Database(path=path)
+    database.execute("CREATE TABLE u (k INTEGER, s STRING)")
+    table = database.storage.table("u")
+    table.column("k").extend(range(rows))
+    table.column("s").extend(f"s{i:08d}" for i in range(rows))
+    database.checkpoint()
+    database.execute("SELECT MAX(s) FROM u")  # untimed warm-up
+    latencies = []
+    for j in range(inserts):
+        # 7919 is prime: the suffixed keys land all over the dictionary
+        sql = (f"INSERT INTO u VALUES ({rows + j}, "
+               f"'s{j * 7919 % rows:08d}~')")
+        start = time.perf_counter()
+        database.execute(sql)
+        latencies.append(time.perf_counter() - start)
+    start = time.perf_counter()
+    database.execute("SELECT MAX(s) FROM u")
+    read_after_s = time.perf_counter() - start
+    database.persistence.close(checkpoint=False)
+    database.scheduler.shutdown()
+    start = time.perf_counter()
+    reopened = Database(path=path)
+    assert reopened.row_count("u") == rows + inserts
+    open_s = time.perf_counter() - start
+    reopened.execute("SELECT MAX(s) FROM u")
+    first_query_s = time.perf_counter() - start
+    replayed = reopened.persistence.last_recovery.wal_records_replayed
+    reopened.persistence.close(checkpoint=False)
+    reopened.scheduler.shutdown()
+    for victim in (path, wal_path_for(path)):
+        victim.unlink()
+    latencies.sort()
+    return {
+        f"unique_string_insert_{rows}": {
+            "rows": rows,
+            "statements": inserts,
+            "seconds": round(sum(latencies), 6),
+            "statement_p50_ms": round(latencies[len(latencies) // 2] * 1e3,
+                                      3),
+            "read_after_ms": round(read_after_s * 1e3, 3),
+        },
+        f"unique_string_recovery_{rows}": {
+            "rows": rows,
+            "wal_records_replayed": replayed,
+            "seconds": round(open_s, 6),
+            "first_string_query_seconds": round(first_query_s, 6),
+        },
+    }
+
+
 def run_persist(*, quick: bool = False) -> dict:
     """Durable-storage costs: WAL-logged inserts, checkpoint, open, recovery.
 
@@ -475,6 +538,9 @@ def run_persist(*, quick: bool = False) -> dict:
         }
         scrub.persistence.close(checkpoint=False)
         scrub.scheduler.shutdown()
+
+        results.update(unique_string_case(
+            workdir, 20_000 if quick else 1_000_000, 100 if quick else 300))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -995,6 +1061,13 @@ def _print_persist(report: dict) -> None:
             extra += f"  ({entry['file_bytes']:,} file bytes)"
         if "wal_rows_replayed" in entry:
             extra += f"  ({entry['wal_rows_replayed']:,} WAL rows replayed)"
+        if "statement_p50_ms" in entry:
+            extra += (f"  (p50 {entry['statement_p50_ms']} ms/statement, "
+                      f"next read {entry['read_after_ms']} ms)")
+        if "first_string_query_seconds" in entry:
+            extra += (f"  ({entry['wal_records_replayed']:,} WAL records; "
+                      f"first string query at "
+                      f"{entry['first_string_query_seconds']:.3f} s)")
         print(f"  {name:>32}: {seconds * 1000:9.2f} ms{extra}")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..sqldb.database import Database
 from ..sqldb.schema import FunctionSignature
-from ..sqldb.vector import column_to_numpy
+from ..sqldb.storage import column_to_numpy
 from ..sqldb.types import SQLType
 
 

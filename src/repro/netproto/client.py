@@ -32,8 +32,9 @@ from ..errors import (
     ProtocolError,
 )
 from ..sqldb.result import QueryResult
+from ..sqldb.storage import arrays_to_values
 from ..sqldb.types import SQLType
-from ..sqldb.vector import Vector, arrays_to_values
+from ..sqldb.vector import Vector
 from . import compression as compression_mod
 from .auth import compute_response, _password_digest
 from .messages import (

@@ -43,8 +43,9 @@ import numpy as np
 
 from ..errors import WireFormatError
 from ..sqldb.result import QueryResult, ResultColumn
+from ..sqldb.storage import arrays_to_values
 from ..sqldb.types import SQLType
-from ..sqldb.vector import Vector, arrays_to_values
+from ..sqldb.vector import Vector
 from . import compression as compression_mod
 from .wire import decode_value, encode_value
 

@@ -144,12 +144,30 @@ def _replay(database: "Database", contents: WalContents,
     pending_start = contents.good_end
     replayed = 0
     skipped = 0
+    #: consecutive insert records into one table, applied as one batch so a
+    #: STRING column merges its dictionary once per run, not per record
+    inserts: list[dict[str, Any]] = []
+
+    def _flush_inserts() -> None:
+        nonlocal replayed
+        if inserts:
+            apply_record(database, {
+                "op": "insert", "table": inserts[0]["table"],
+                "rows": [row for record in inserts for row in record["rows"]]})
+            replayed += len(inserts)
+            inserts.clear()
 
     def _apply(record: dict[str, Any]) -> None:
         nonlocal replayed, skipped
         if salvage and _targets_quarantined(database, record):
             skipped += 1
             return
+        if record.get("op") == "insert":
+            if inserts and inserts[0]["table"] != record["table"]:
+                _flush_inserts()
+            inserts.append(record)
+            return
+        _flush_inserts()
         apply_record(database, record)
         replayed += 1
 
@@ -163,6 +181,7 @@ def _replay(database: "Database", contents: WalContents,
             _apply(part)
         pending.clear()
         _apply(record)
+    _flush_inserts()
     report.wal_records_replayed = replayed
     report.wal_records_skipped = skipped
     report.wal_torn_tail = contents.torn or bool(pending)

@@ -6,13 +6,9 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from .storage import arrays_to_values, column_to_numpy, values_to_arrays
 from .types import SQLType, infer_sql_type
-from .vector import (
-    Vector,
-    arrays_to_values,
-    column_to_numpy,
-    values_to_arrays,
-)
+from .vector import Vector
 
 
 class ResultColumn:

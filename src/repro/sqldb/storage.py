@@ -12,15 +12,17 @@ wire encoder consume, so there is no second format to convert or cache:
   source of truth for NULLs, so ``""``, ``0`` and ``False`` round-trip;
 * STRING columns store ``int64`` codes into a **sorted** dictionary, so code
   order is string order.  A batch with unseen strings merges the dictionary
-  once and remaps the stored codes into a new buffer.
+  once, inserting them at their sorted positions, and remaps the stored
+  codes into a new buffer (skipped when they all sort last).
 
 A scan (:meth:`Column.to_vector`) is an O(1) snapshot ``(data[:n], mask[:n],
 dictionary)`` of read-only views, read from one atomically replaced state
-tuple.  The snapshot invariant: nothing a snapshot can see is written again.
-Appends write only past ``n``; a dictionary merge remaps into a new buffer;
-UPDATE, DELETE and TRUNCATE build new buffers (copy-on-write).  A streamed
-SELECT running lock-free on its snapshot thus stays isolated from later
-statements without a lock, a cache or invalidation.
+tuple and shared by every reader of that state.  The snapshot invariant:
+nothing a snapshot can see is written again.  Appends write only past
+``n``; a dictionary merge remaps into a new buffer; UPDATE, DELETE and
+TRUNCATE build new buffers (copy-on-write).  A streamed SELECT running
+lock-free on its snapshot thus stays isolated from later statements
+without a lock or invalidation.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ from ..errors import CatalogError, CorruptionError, ExecutionError
 from .schema import ColumnDef, TableSchema
 from .types import NUMPY_DTYPES, SQLType, coerce_value
 from .vector import NULL_CODE, NULL_FILL, Vector, slice_column_values
+
+
+#: The Python types :func:`coerce_value` returns for each SQL type (plus
+#: NULL): a batch holding only these needs no per-value coercion.
+_STORED_TYPES = {
+    sql_type: frozenset({python_type, type(None)})
+    for sql_type, python_type in (
+        (SQLType.INTEGER, int), (SQLType.BIGINT, int),
+        (SQLType.DOUBLE, float), (SQLType.REAL, float),
+        (SQLType.BOOLEAN, bool), (SQLType.STRING, str),
+        (SQLType.BLOB, bytes))}
 
 
 def _sealed(array: np.ndarray) -> np.ndarray:
@@ -74,10 +87,12 @@ class Column:
 
     def __init__(self, definition: ColumnDef) -> None:
         self.definition = definition
-        #: ``(data, mask or None, dictionary or None, row count)``, replaced
-        #: as a whole so a concurrent reader never sees a torn state.
+        #: ``(data, mask or None, dictionary or None, row count, snapshot)``,
+        #: replaced as a whole so a concurrent reader never sees a torn
+        #: state.  Every reader of one state shares its snapshot, and with
+        #: it the memoised UDF array (:meth:`Vector.to_numpy`).
         self._state: tuple[np.ndarray, np.ndarray | None,
-                           np.ndarray | None, int]
+                           np.ndarray | None, int, Vector]
         self.truncate()
 
     @property
@@ -96,11 +111,7 @@ class Column:
     # ------------------------------------------------------------------ #
     def to_vector(self) -> Vector:
         """A snapshot of the stored rows: read-only views, no copy."""
-        data, mask, dictionary, length = self._state
-        # slices of the read-only owners (see _sealed), not of the writers
-        return Vector(data.base[:length],
-                      None if mask is None else mask.base[:length],
-                      dictionary, self.sql_type)
+        return self._state[4]
 
     def scan_vector(self, start: int, stop: int) -> Any:
         """Rows ``[start, stop)`` of a snapshot in the executor's format:
@@ -123,12 +134,13 @@ class Column:
 
     @values.setter
     def values(self, values: Sequence[Any]) -> None:
-        # bulk loaders assign already-typed lists: no per-value coercion
+        """Replace the stored rows (coerced, like :meth:`extend`)."""
+        vector = self.coerce(values)
         self.truncate()
-        self.append_vector(Vector.from_values(values, self.sql_type))
+        self.append_vector(vector)
 
     def mark_dirty(self) -> None:
-        """No-op kept for bulk loaders that still call it after assigning
+        """No-op kept for bulk loaders that call it after assigning
         :attr:`values` (``perfbench/workloads.py``): there is no cache."""
 
     # ------------------------------------------------------------------ #
@@ -137,6 +149,12 @@ class Column:
     def coerce(self, values: Iterable[Any]) -> Vector:
         """``values`` coerced to this column's type, as a vector."""
         sql_type = self.sql_type
+        values = list(values)
+        if set(map(type, values)) <= _STORED_TYPES[sql_type]:
+            try:  # already the stored Python type: nothing to convert
+                return Vector.from_values(values, sql_type)
+            except OverflowError:  # an int beyond int64: coerce_value says
+                pass
         return Vector.from_values(
             [coerce_value(value, sql_type) for value in values], sql_type)
 
@@ -148,7 +166,7 @@ class Column:
 
     def append_nulls(self, count: int) -> None:
         """Append ``count`` NULL rows (the salvage loader's placeholders)."""
-        data, _, dictionary, _ = self._state
+        data, _, dictionary, _, _ = self._state
         fill = NULL_FILL[self.sql_type] if dictionary is None else NULL_CODE
         self.append_vector(Vector(np.full(count, fill, dtype=data.dtype),
                                   np.ones(count, dtype=bool), dictionary,
@@ -158,7 +176,7 @@ class Column:
         """Append ``vector``'s rows; the only write into existing buffers,
         and it lands past the end of every snapshot."""
         codes = self._codes(vector)
-        data, mask, dictionary, length = self._state
+        data, mask, dictionary, length, _ = self._state
         stop = length + len(codes)
         if stop > len(data):
             capacity = max(stop, 2 * len(data))
@@ -172,12 +190,12 @@ class Column:
         if mask is not None:
             mask = _sealed(mask)
             mask[length:stop] = False if vector.mask is None else vector.mask
-        self._state = (data, mask, dictionary, stop)
+        self._store(data, mask, dictionary, stop)
 
     def assign(self, indices: np.ndarray, vector: Vector) -> None:
         """UPDATE: new buffers with the rows at ``indices`` replaced."""
         codes = self._codes(vector)
-        data, mask, dictionary, length = self._state
+        data, mask, dictionary, length, _ = self._state
         data = data[:length].copy()
         data[indices] = codes
         if mask is not None or vector.mask is not None:
@@ -188,7 +206,7 @@ class Column:
 
     def keep(self, keep: np.ndarray) -> None:
         """DELETE: new buffers holding only the rows where ``keep``."""
-        data, mask, dictionary, length = self._state
+        data, mask, dictionary, length, _ = self._state
         self._rewrite(data[:length][keep],
                       None if mask is None else mask[:length][keep],
                       dictionary)
@@ -200,7 +218,7 @@ class Column:
         appended, which no snapshot outside that statement can hold.
         """
         if length:
-            self._state = self._state[:3] + (length,)
+            self._store(*self._state[:3], length)
             return
         is_string = self.sql_type is SQLType.STRING
         dtype = np.int64 if is_string else NUMPY_DTYPES[self.sql_type]
@@ -209,10 +227,16 @@ class Column:
 
     def _store(self, data: np.ndarray, mask: np.ndarray | None,
                dictionary: np.ndarray | None, length: int) -> None:
+        """Publish a new state and its snapshot."""
         if dictionary is not None:
             dictionary.setflags(write=False)
-        self._state = (_sealed(data), None if mask is None else _sealed(mask),
-                       dictionary, length)
+        data = _sealed(data)
+        mask = None if mask is None else _sealed(mask)
+        # slices of the read-only owners (see _sealed), not of the writers
+        snapshot = Vector(data.base[:length],
+                          None if mask is None else mask.base[:length],
+                          dictionary, self.sql_type)
+        self._state = (data, mask, dictionary, length, snapshot)
 
     def _rewrite(self, data: np.ndarray, mask: np.ndarray | None,
                  dictionary: np.ndarray | None) -> None:
@@ -224,23 +248,73 @@ class Column:
 
     def _codes(self, vector: Vector) -> np.ndarray:
         """``vector``'s data in this column's encoding.  For STRING, maps
-        its dictionary into the column's; unseen strings first merge the
-        dictionary and remap the stored codes into a new buffer."""
+        its (sorted, unique) dictionary into the column's; unseen strings
+        are first inserted in place and the stored codes remapped into a
+        new buffer."""
         if self.sql_type is not SQLType.STRING:
             return vector.data
         incoming = vector.dictionary
-        data, mask, dictionary, length = self._state
+        data, mask, dictionary, length, _ = self._state
         positions = np.searchsorted(dictionary, incoming)
-        if len(incoming) and not (len(dictionary) and np.all(
-                dictionary[np.minimum(positions, len(dictionary) - 1)]
-                == incoming)):
-            merged = np.unique(np.concatenate([dictionary, incoming]))
-            remap = np.append(np.searchsorted(merged, dictionary), NULL_CODE)
-            remapped = np.empty(len(data), dtype=np.int64)
-            remapped[:length] = remap[data[:length]]
-            self._store(remapped, mask, merged, length)
-            positions = np.searchsorted(merged, incoming)
+        seen = positions < len(dictionary)
+        seen[seen] = dictionary[positions[seen]] == incoming[seen]
+        if not seen.all():
+            # both sides are sorted: insert the unseen strings, no re-sort
+            at = positions[~seen]
+            merged = np.insert(dictionary, at, incoming[~seen])
+            if at[0] < len(dictionary):  # else all sort last: codes hold
+                # a code moves right by the insertions at or before it
+                # (NULL_CODE sorts before every insertion point: it stays)
+                stored = data[:length]
+                remapped = np.empty(len(data), dtype=np.int64)
+                np.add(stored, np.searchsorted(at, stored, side="right"),
+                       out=remapped[:length])
+                data = remapped
+            self._store(data, mask, merged, length)
+            positions = positions + np.searchsorted(at, positions,
+                                                    side="right")
+            positions[~seen] = at + np.arange(len(at))
         return np.append(positions, NULL_CODE)[vector.data]
+
+
+def column_to_numpy(values: Sequence[Any], sql_type: SQLType) -> np.ndarray:
+    """Convert a list of SQL values to the numpy array handed to UDFs.
+
+    Columns containing NULLs fall back to an object array so that ``None``
+    survives the conversion (MonetDB uses masked arrays; an object array keeps
+    the reproduction dependency-light while preserving the observable
+    behaviour that UDFs can see missing values).
+    """
+    dtype = NUMPY_DTYPES[sql_type]
+    if any(value is None for value in values):
+        return np.array(list(values), dtype="object")
+    if dtype == "object":
+        array = np.empty(len(values), dtype="object")
+        for index, value in enumerate(values):
+            array[index] = value
+        return array
+    return np.array(list(values), dtype=dtype)
+
+
+def values_to_arrays(values: Sequence[Any],
+                     sql_type: SQLType) -> tuple[np.ndarray, np.ndarray | None]:
+    """Export a value list as ``(data array, null mask)`` buffer pair.
+
+    This is the wire-export shape: a contiguous typed data array with NULL
+    positions filled by a placeholder, plus a boolean mask that is ``None``
+    when the column has no NULLs.  The inverse is :func:`arrays_to_values`.
+    """
+    return Vector.from_values(values, sql_type).buffer_arrays()
+
+
+def arrays_to_values(data: np.ndarray | Sequence[Any],
+                     mask: np.ndarray | None = None) -> list[Any]:
+    """Import a ``(data, mask)`` buffer pair back into a plain value list."""
+    values = data.tolist() if isinstance(data, np.ndarray) else list(data)
+    if mask is not None:
+        for index in np.flatnonzero(mask):
+            values[index] = None
+    return values
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ import numpy as np
 
 from ..errors import UDFError
 from .schema import FunctionSignature
+from .storage import column_to_numpy
 from .types import SQLType, coerce_value
-from .vector import Vector, column_to_numpy
+from .vector import Vector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database

@@ -179,7 +179,11 @@ class Vector:
 
     def to_list(self) -> list[Any]:
         """Plain Python values, ``None`` at masked positions."""
-        return arrays_to_values(self.decoded(), self.mask)
+        values = self.decoded().tolist()
+        if self.mask is not None:
+            for index in np.flatnonzero(self.mask):
+                values[index] = None
+        return values
 
     def to_numpy(self) -> np.ndarray:
         """The UDF handoff format (matches ``column_to_numpy`` exactly):
@@ -235,8 +239,9 @@ def slice_column_values(values: Any, start: int, stop: int) -> Any:
 
     A full-range slice returns the original object, so single-morsel
     execution shares the scan snapshot (and its memoised UDF
-    materialisation) exactly like whole-batch execution did.  This is the one slicing rule
-    both the storage scan path and the executor batch path use.
+    materialisation) exactly like whole-batch execution did.  This is the
+    one slicing rule both the storage scan path and the executor batch path
+    use.
     """
     if start == 0 and stop >= len(values):
         return values
@@ -281,42 +286,3 @@ def remap_to_shared_dictionary(left: Vector, right: Vector
         right_shared = np.empty(0, dtype=np.int64)
     return left_shared, right_shared
 
-
-# --------------------------------------------------------------------------- #
-# plain value lists <-> vector buffers (query results, wire payloads)
-# --------------------------------------------------------------------------- #
-def column_to_numpy(values: Sequence[Any], sql_type: SQLType) -> np.ndarray:
-    """Convert a list of SQL values to the numpy array handed to UDFs.
-
-    Columns containing NULLs fall back to an object array so that ``None``
-    survives the conversion (MonetDB uses masked arrays; an object array keeps
-    the reproduction dependency-light while preserving the observable
-    behaviour that UDFs can see missing values).
-    """
-    dtype = NUMPY_DTYPES[sql_type]
-    if any(value is None for value in values):
-        return np.array(list(values), dtype="object")
-    if dtype == "object":
-        array = np.empty(len(values), dtype="object")
-        for index, value in enumerate(values):
-            array[index] = value
-        return array
-    return np.array(list(values), dtype=dtype)
-
-
-def values_to_arrays(values: Sequence[Any],
-                     sql_type: SQLType) -> tuple[np.ndarray, np.ndarray | None]:
-    """Export a value list as the wire's ``(data array, null mask)`` pair
-    (placeholders at NULLs, mask ``None`` when NULL-free); the inverse is
-    :func:`arrays_to_values`."""
-    return Vector.from_values(values, sql_type).buffer_arrays()
-
-
-def arrays_to_values(data: np.ndarray | Sequence[Any],
-                     mask: np.ndarray | None = None) -> list[Any]:
-    """Import a ``(data, mask)`` buffer pair back into a plain value list."""
-    values = data.tolist() if isinstance(data, np.ndarray) else list(data)
-    if mask is not None:
-        for index in np.flatnonzero(mask):
-            values[index] = None
-    return values

@@ -6,11 +6,18 @@ integer buffers — each checked in memory and, where it matters, across a
 checkpoint and a reopen.
 """
 
+import random
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.errors import TypeMismatchError
 from repro.sqldb.database import Database
+from repro.sqldb.persist import read_wal, wal_path_for
+from repro.sqldb.schema import ColumnDef
+from repro.sqldb.storage import Column
+from repro.sqldb.types import ColumnType, SQLType
 
 
 def rows(db, sql):
@@ -71,6 +78,104 @@ class TestStringDictionaryMerge:
         vector = db.storage.table("t").column("name").to_vector()
         assert vector.dictionary.tolist() == ["n", "p", "q", "z"]
         assert vector.to_list() == ["p", None, "q", "n", None, "z"]
+
+
+    def test_unseen_strings_sorting_last_keep_the_stored_codes(self, db):
+        column = db.storage.table("t").column("name")
+        before = column.to_vector()
+        column.extend(["zzz", "zzzz"])
+        after = column.to_vector()
+        # codes of the stored rows are unchanged: nothing was remapped
+        assert np.array_equal(after.data[:len(before)], before.data)
+        assert before.to_list() == self.names
+        assert after.to_list() == self.names + ["zzz", "zzzz"]
+
+    def test_random_batches_match_python(self):
+        rng = random.Random(7)
+        pool = [f"s{rng.randrange(10_000):05d}" for _ in range(300)]
+        column = Column(ColumnDef("s", ColumnType(SQLType.STRING)))
+        expected, snapshots = [], []
+        for _ in range(60):
+            batch = [None if rng.random() < 0.1 else rng.choice(pool)
+                     for _ in range(rng.choice([1, 1, 3, 40]))]
+            snapshots.append((column.to_vector(), list(expected)))
+            column.extend(batch)
+            expected.extend(batch)
+            vector = column.to_vector()
+            assert vector.to_list() == expected
+            assert vector.dictionary.tolist() == sorted(
+                set(vector.dictionary.tolist()))
+        for snapshot, rows_then in snapshots:
+            assert snapshot.to_list() == rows_then
+
+
+class TestSnapshotReuse:
+    @pytest.mark.parametrize("sql_type, values", [
+        (SQLType.STRING, ["b", "a", "b"]),
+        (SQLType.INTEGER, [1, None, 3]),
+    ])
+    def test_udf_array_is_built_once_per_state(self, sql_type, values):
+        column = Column(ColumnDef("c", ColumnType(sql_type)))
+        column.extend(values)
+        first = column.to_numpy()
+        assert column.to_numpy() is first
+        column.extend(values[:1])
+        second = column.to_numpy()
+        assert second is not first
+        assert first.tolist() == values
+        assert second.tolist() == values + values[:1]
+
+
+class TestBulkAssignment:
+    def column(self):
+        column = Column(ColumnDef("k", ColumnType(SQLType.INTEGER)))
+        column.extend([9])
+        return column
+
+    def test_assigned_values_are_coerced(self):
+        column = self.column()
+        column.values = [1, "2", 3.0, None, True]
+        assert column.values == [1, 2, 3, None, 1]
+
+    def test_out_of_range_assignment_leaves_the_column(self):
+        column = self.column()
+        with pytest.raises(TypeMismatchError):
+            column.values = [1, 2**64]
+        assert column.values == [9]
+
+
+def test_wal_replay_of_interleaved_single_row_inserts(tmp_path):
+    path = tmp_path / "live.db"
+    database = Database(path=str(path))
+    database.execute("CREATE TABLE a (s STRING)")
+    database.execute("CREATE TABLE b (k INTEGER)")
+    database.execute("CHECKPOINT")
+    rng = random.Random(3)
+    for step in range(200):
+        if step % 3:
+            database.execute(f"INSERT INTO a VALUES ('u{rng.random()}')")
+        else:
+            database.execute(f"INSERT INTO b VALUES ({step})")
+        if step in (90, 150):
+            database.execute("DELETE FROM a WHERE s < 'u0.3'")
+            database.execute("UPDATE b SET k = k + 1000 WHERE k < 60")
+    expected = {name: rows(database, f"SELECT * FROM {name}")
+                for name in ("a", "b")}
+    crashed = tmp_path / "crash.db"
+    shutil.copy(path, crashed)
+    shutil.copy(wal_path_for(path), wal_path_for(crashed))
+    database.close()
+    records = read_wal(wal_path_for(crashed)).records
+    assert {record["op"] for record in records} \
+        == {"insert", "delete", "update"}
+    reopened = Database(path=str(crashed))
+    try:
+        assert reopened.persistence.last_recovery.wal_records_replayed \
+            == len(records)
+        for name, table_rows in expected.items():
+            assert rows(reopened, f"SELECT * FROM {name}") == table_rows
+    finally:
+        reopened.close()
 
 
 class TestPlaceholderValuesBesideNulls:

@@ -12,7 +12,7 @@ from repro.sqldb.catalog import make_signature
 from repro.sqldb.database import Database
 from repro.sqldb.parser import parse_statement
 from repro.sqldb.render import render_select
-from repro.sqldb.vector import column_to_numpy
+from repro.sqldb.storage import column_to_numpy
 from repro.sqldb.types import SQLType, coerce_value, infer_sql_type
 from repro.sqldb.udf import build_udf_source, compile_udf
 

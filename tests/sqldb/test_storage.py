@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import CatalogError, ExecutionError
 from repro.sqldb.schema import ColumnDef, TableSchema
-from repro.sqldb.storage import Storage, Table
-from repro.sqldb.vector import column_to_numpy
+from repro.sqldb.storage import Storage, Table, column_to_numpy
 from repro.sqldb.types import ColumnType, SQLType
 
 

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.sqldb.storage import Column
+from repro.sqldb.storage import (
+    Column,
+    arrays_to_values,
+    values_to_arrays,
+)
 from repro.sqldb.schema import ColumnDef
 from repro.sqldb.types import ColumnType, SQLType
 from repro.sqldb.vector import (
     NULL_CODE,
     Vector,
-    arrays_to_values,
     combine_masks,
     remap_to_shared_dictionary,
-    values_to_arrays,
     vector_parts,
 )
 
@@ -152,6 +154,7 @@ class TestColumnScanValues:
     def test_append_never_changes_an_earlier_scan(self):
         column = make_column(SQLType.STRING, ["x"])
         first = scan(column)
+        assert scan(column) is first  # one snapshot per stored state
         column.append("a")  # sorts before "x": the dictionary is merged
         second = scan(column)
         assert first.to_list() == ["x"]
