@@ -4,7 +4,8 @@
 Three suites, selectable with ``--suite``:
 
 * ``sqldb``    — engine operator hot paths (scan, filter, equi-join, GROUP BY)
-  at 10k and 100k rows, written to ``BENCH_sqldb.json``.  The seed
+  at 10k and 100k rows, plus 100k-row UDF outputs converted back to columns,
+  written to ``BENCH_sqldb.json``.  The seed
   (pre-vectorisation) baselines recorded in the output were measured on the
   same workload shapes with the nested-loop/per-group engine at ``v0``.
 * ``netproto`` — result-set transfer cost: the columnar wire format (typed
@@ -180,6 +181,7 @@ def run_sqldb(*, quick: bool = False) -> dict:
            f"JOIN join_r_{JOIN_SIDE_ROWS} r ON l.id = r.id",
            JOIN_SIDE_ROWS)
 
+    results.update(run_udf_output(repeat=repeat))
     results.update(run_parallel(quick=quick))
     results.update(run_obs_overhead(quick=quick))
 
@@ -193,6 +195,58 @@ def run_sqldb(*, quick: bool = False) -> dict:
         "group_count": GROUP_COUNT,
         "results": results,
     }
+
+
+# --------------------------------------------------------------------------- #
+# UDF output conversion
+# --------------------------------------------------------------------------- #
+UDF_OUTPUT_ROWS = 100_000
+
+
+def run_udf_output(*, repeat: int) -> dict:
+    """UDF outputs of 100k rows turned back into columns, int64/float64/bool.
+
+    ``udf_table_output_100k`` is the extract-function shape (a table UDF
+    handing its input columns back); ``udf_scalar_rowaligned_100k`` is three
+    row-aligned scalar UDFs in one projection.  Both time ``execute`` until
+    the result columns exist, without materialising Python values.
+    """
+    rows = UDF_OUTPUT_ROWS
+    database = Database()
+    database.execute("CREATE TABLE udf_src (i BIGINT, v DOUBLE)")
+    table = database.storage.table("udf_src")
+    rng = random.Random(23)
+    table.column("i").extend(range(rows))
+    table.column("v").extend(rng.random() for _ in range(rows))
+    database.execute(
+        "CREATE FUNCTION udf_echo(i BIGINT, v DOUBLE) "
+        "RETURNS TABLE(i BIGINT, v DOUBLE, b BOOLEAN) "
+        "LANGUAGE PYTHON { return {'i': i, 'v': v, 'b': v > 0.5} }")
+    database.execute("CREATE FUNCTION udf_next(x BIGINT) RETURNS BIGINT "
+                     "LANGUAGE PYTHON { return x + 1 }")
+    database.execute("CREATE FUNCTION udf_half(x DOUBLE) RETURNS DOUBLE "
+                     "LANGUAGE PYTHON { return x / 2 }")
+    database.execute("CREATE FUNCTION udf_big(x DOUBLE) RETURNS BOOLEAN "
+                     "LANGUAGE PYTHON { return x > 0.5 }")
+    cases = {
+        "udf_table_output_100k":
+            "SELECT * FROM udf_echo((SELECT i, v FROM udf_src))",
+        "udf_scalar_rowaligned_100k":
+            "SELECT udf_next(i), udf_half(v), udf_big(v) FROM udf_src",
+    }
+    results: dict[str, dict] = {}
+    for name, sql in cases.items():
+        out_rows = database.execute(sql).row_count
+        seconds = median_seconds(lambda: database.execute(sql), repeat=repeat)
+        results[name] = {
+            "sql": sql,
+            "input_rows": rows,
+            "output_rows": out_rows,
+            "seconds": round(seconds, 6),
+            "rows_per_sec": round(rows / seconds) if seconds > 0 else None,
+        }
+    database.close()
+    return results
 
 
 # --------------------------------------------------------------------------- #

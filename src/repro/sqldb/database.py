@@ -349,15 +349,16 @@ class Database:
         """Invalidate cache entries made stale by an executed statement.
 
         Called by the executor after every successful mutating statement;
-        UDF (re)definition clears both caches entirely (a UDF body change
-        alters what any query calling it returns).
+        dropping a UDF clears both caches entirely (it alters what any query
+        calling it returns; :meth:`create_function` does the same for a
+        changed definition).
         """
         if isinstance(statement, (ast.InsertValues, ast.InsertSelect,
                                   ast.Delete, ast.Update, ast.CopyInto)):
             self.invalidate_table(statement.table)
         elif isinstance(statement, (ast.CreateTable, ast.DropTable)):
             self.invalidate_table(statement.name)
-        elif isinstance(statement, (ast.CreateFunction, ast.DropFunction)):
+        elif isinstance(statement, ast.DropFunction):
             self.invalidate_caches()
 
     def invalidate_table(self, table: str) -> None:
@@ -572,10 +573,18 @@ class Database:
     # convenience helpers used throughout the reproduction
     # ------------------------------------------------------------------ #
     def create_function(self, signature: FunctionSignature, *, replace: bool = True) -> None:
-        """Register a UDF directly from a signature object (bypassing SQL)."""
-        if not replace and self.catalog.has(signature.name):
-            # raises the canonical duplicate-function error; nothing to log
-            self.catalog.register(signature, replace=False)
+        """Register a UDF directly from a signature object (bypassing SQL).
+
+        Re-creating a function exactly as registered changes nothing, so it
+        logs nothing and keeps the compiled UDF and every cache (devUDF's
+        debug loop re-creates its unchanged extract function each cycle).
+        """
+        if self.catalog.has(signature.name):
+            if not replace:
+                # raises the canonical duplicate-function error; nothing to log
+                self.catalog.register(signature, replace=False)
+            if self.catalog.get(signature.name).signature == signature:
+                return
         # log before applying (registration can no longer fail), so a WAL
         # failure leaves memory and disk agreeing
         if self.persistence is not None:

@@ -984,9 +984,14 @@ class ExpressionEvaluator:
                 arg_is_column.append(True)
             sql_types.append(result.sql_type or parameter.sql_type)
         udf_args = columns_to_udf_args(arg_values, arg_is_column, sql_types)
-        raw = self.database.udf_runtime.invoke(signature, udf_args)
+        runtime = self.database.udf_runtime
+        raw = runtime.invoke(signature, udf_args)
         input_length = self.batch.row_count if any(arg_is_column) else 1
-        values, row_aligned = convert_scalar_result(signature, raw, input_length)
+        vector, row_aligned = runtime.convert(convert_scalar_result,
+                                              signature, raw, input_length)
+        # a per-row result joins the batch in the executor's column format;
+        # an aggregated one is a constant, held as Python values like literals
+        values = vector.executor_values() if row_aligned else vector.to_list()
         return EvalResult(values, constant=not row_aligned,
                           sql_type=signature.return_type)
 

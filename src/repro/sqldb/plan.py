@@ -60,7 +60,7 @@ from .operators import (
 from .result import QueryResult
 from .schema import FunctionSignature
 from .types import SQLType
-from .udf import convert_table_result
+from .udf import convert_scalar_result, convert_table_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .context import QueryContext
@@ -136,25 +136,19 @@ def table_function_batch(database: "Database",
             f"table function {ref.name!r} expects {len(signature.parameters)} "
             f"arguments, got {len(arg_values)}"
         )
-    raw = database.udf_runtime.invoke(signature, arg_values)
-
+    runtime = database.udf_runtime
+    raw = runtime.invoke(signature, arg_values)
     if signature.returns_table:
-        column_data = convert_table_result(signature, raw)
-        columns = [
-            BatchColumn(alias, column_name,
-                        signature.return_columns[i].sql_type, values)
-            for i, (column_name, values) in enumerate(column_data.items())
-        ]
-        row_count = len(columns[0].values) if columns else 0
-        return Batch(columns, row_count=row_count)
-
-    # Scalar function used in FROM: expose its result as a one-column table.
-    from .udf import convert_scalar_result
-
-    values, _ = convert_scalar_result(signature, raw, 0)
-    column = BatchColumn(alias, signature.name,
-                         signature.return_type or SQLType.DOUBLE, values)
-    return Batch([column], row_count=len(values))
+        vectors = runtime.convert(convert_table_result, signature, raw)
+    else:  # a scalar function used in FROM: a one-column table
+        vector, _ = runtime.convert(convert_scalar_result, signature, raw, 0)
+        vectors = {signature.name: vector}
+    columns = [
+        BatchColumn(alias, name, vector.sql_type, vector.executor_values())
+        for name, vector in vectors.items()
+    ]
+    row_count = len(columns[0].values) if columns else 0
+    return Batch(columns, row_count=row_count)
 
 
 # --------------------------------------------------------------------------- #

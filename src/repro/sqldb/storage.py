@@ -117,11 +117,8 @@ class Column:
         """Rows ``[start, stop)`` of a snapshot in the executor's format:
         a typed array for NULL-free numeric/boolean columns, an object array
         (``None`` at NULLs) for BLOB, else the :class:`Vector`."""
-        vector = self.to_vector()
-        if self.sql_type is SQLType.BLOB or (
-                vector.mask is None and vector.dictionary is None):
-            return slice_column_values(vector.to_numpy(), start, stop)
-        return slice_column_values(vector, start, stop)
+        return slice_column_values(self.to_vector().executor_values(),
+                                   start, stop)
 
     def to_numpy(self) -> np.ndarray:
         """The UDF handoff format (read-only), derived from a snapshot."""

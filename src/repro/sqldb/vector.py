@@ -203,6 +203,15 @@ class Vector:
             self._objects = array
         return self._objects
 
+    def executor_values(self) -> Any:
+        """The executor's column format: a typed array for NULL-free
+        numerics and booleans, an object array (``None`` at NULLs) for BLOB,
+        else this vector."""
+        if self.sql_type is SQLType.BLOB or (
+                self.mask is None and self.dictionary is None):
+            return self.to_numpy()
+        return self
+
     def buffer_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Export as the wire-format ``(data array, null mask)`` pair."""
         if self.dictionary is None:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import CatalogError, ExecutionError, UDFError
+from repro.errors import CatalogError, ExecutionError, TypeMismatchError, UDFError
 from repro.sqldb.catalog import make_signature
 from repro.sqldb.database import Database
+from repro.sqldb.persist import read_wal, wal_path_for
 from repro.sqldb.types import SQLType
 from repro.sqldb.udf import build_udf_source, compile_udf, convert_table_result
 
@@ -130,6 +131,117 @@ class TestTableUDFs:
             db.execute("SELECT table_fn(i) FROM numbers")
 
 
+class TestUDFOutputs:
+    def test_zero_d_array_scalar_result(self, db):
+        db.execute("CREATE FUNCTION mean_0d(x INTEGER) RETURNS INTEGER "
+                   "LANGUAGE PYTHON { return numpy.asarray(numpy.mean(x)) }")
+        assert db.execute("SELECT mean_0d(i) FROM numbers").fetchall() == [(4,)]
+
+    def test_zero_d_array_table_entry(self, db):
+        db.execute(
+            "CREATE FUNCTION five(v INTEGER) RETURNS TABLE(a INTEGER) "
+            "LANGUAGE PYTHON { return {'a': numpy.asarray(5)} }")
+        result = db.execute("SELECT * FROM five((SELECT i FROM numbers))")
+        assert result.fetchall() == [(5,)]
+
+    def test_typed_result_stays_typed(self, db):
+        db.execute("CREATE FUNCTION halve(x INTEGER) RETURNS DOUBLE "
+                   "LANGUAGE PYTHON { return x / 2 }")
+        column = db.execute("SELECT halve(i) FROM numbers").columns[0]
+        assert not column.is_materialised
+        assert column.values == [0.5, 1.0, 1.5, 2.0, 5.0]
+
+    def test_non_integral_result_raises_type_mismatch(self, db):
+        db.execute("CREATE FUNCTION third(x INTEGER) RETURNS INTEGER "
+                   "LANGUAGE PYTHON { return x / 3 }")
+        with pytest.raises(TypeMismatchError,
+                           match="non-integral value 0.3333333333333333"):
+            db.execute("SELECT third(i) FROM numbers")
+
+    def test_returning_the_read_only_input(self, db):
+        """The extract function's shape: the input column handed back."""
+        db.execute(
+            "CREATE FUNCTION echo(column INTEGER) RETURNS TABLE(column INTEGER) "
+            "LANGUAGE PYTHON { return {'column': column} }")
+        result = db.execute("SELECT * FROM echo((SELECT i FROM numbers))")
+        assert [row[0] for row in result.rows()] == [1, 2, 3, 4, 10]
+
+    def test_udf_mutating_a_kept_result_leaves_earlier_results(self, db):
+        db.execute(
+            "CREATE FUNCTION keeper(x INTEGER) RETURNS INTEGER "
+            "LANGUAGE PYTHON {\n"
+            "    global kept\n"
+            "    if 'kept' in globals():\n"
+            "        kept[:] = -1\n"
+            "    kept = numpy.array(x)\n"
+            "    return kept\n}")
+        first = db.execute("SELECT keeper(i) FROM numbers")
+        db.execute("CREATE TABLE kept_copy AS SELECT keeper(i) AS k FROM numbers")
+        db.execute("SELECT keeper(i) FROM numbers")
+        assert [row[0] for row in first.rows()] == [1, 2, 3, 4, 10]
+        assert [row[0] for row in db.execute(
+            "SELECT k FROM kept_copy").rows()] == [1, 2, 3, 4, 10]
+
+    def test_invoke_and_convert_histograms_in_show_stats(self, db):
+        db.execute("CREATE FUNCTION plus_one(x INTEGER) RETURNS INTEGER "
+                   "LANGUAGE PYTHON { return x + 1 }")
+        db.execute("SELECT plus_one(i) FROM numbers")
+        result = db.execute("SHOW STATS").to_dict()
+        stats = dict(zip(result["name"], result["value"]))
+        assert stats["udf.invoke_us_count"] == 1
+        assert stats["udf.convert_us_count"] == 1
+
+
+class TestCreateFunctionIdempotence:
+    SQL = ("CREATE OR REPLACE FUNCTION idem(x INTEGER) RETURNS INTEGER "
+           "LANGUAGE PYTHON { return x + 1 }")
+
+    def _wal_records(self, path):
+        return len(read_wal(wal_path_for(path)).records)
+
+    def test_identical_recreate_logs_nothing_and_keeps_caches(self, tmp_path):
+        path = tmp_path / "idem.db"
+        database = Database(path=path, result_cache_bytes=1 << 20)
+        database.execute("CREATE TABLE t (i INTEGER)")
+        database.execute("INSERT INTO t VALUES (1), (2)")
+        database.execute(self.SQL)
+        database.execute("SELECT idem(i) FROM t")
+        compiled = database.udf_runtime._compiled["idem"]
+        database.execute("SELECT i FROM t")
+        records = self._wal_records(path)
+        hits = database.cache_counters()["result_cache_hits"]
+
+        database.execute(self.SQL)
+        assert self._wal_records(path) == records
+        assert database.udf_runtime._compiled["idem"] is compiled
+        database.execute("SELECT i FROM t")
+        assert database.cache_counters()["result_cache_hits"] == hits + 1
+        database.close()
+
+    def test_changed_body_still_logs_and_invalidates(self, tmp_path):
+        path = tmp_path / "idem.db"
+        database = Database(path=path, result_cache_bytes=1 << 20)
+        database.execute("CREATE TABLE t (i INTEGER)")
+        database.execute("INSERT INTO t VALUES (1), (2)")
+        database.execute(self.SQL)
+        database.execute("SELECT i FROM t")
+        records = self._wal_records(path)
+        hits = database.cache_counters()["result_cache_hits"]
+
+        database.execute(self.SQL.replace("x + 1", "x + 2"))
+        assert self._wal_records(path) == records + 1
+        database.execute("SELECT i FROM t")
+        assert database.cache_counters()["result_cache_hits"] == hits
+        assert database.execute("SELECT idem(i) FROM t").fetchall() == \
+            [(3,), (4,)]
+        database.close()
+
+    def test_identical_create_without_replace_still_raises(self, db):
+        db.execute(self.SQL)
+        with pytest.raises(CatalogError, match="already exists"):
+            db.execute(self.SQL.replace("OR REPLACE ", ""))
+
+
 class TestLoopback:
     def test_loopback_query(self, db):
         db.execute(
@@ -181,23 +293,29 @@ class TestCompileUDF:
         assert compile_udf(signature)() is None
 
 
+def as_lists(columns):
+    return {name: vector.to_list() for name, vector in columns.items()}
+
+
 class TestConvertTableResult:
     def test_dict_result(self):
         signature = make_signature(
             "t", [], returns_table=True,
             return_columns=[("a", SQLType.INTEGER), ("b", SQLType.STRING)])
         out = convert_table_result(signature, {"a": [1, 2], "b": ["x", "y"]})
-        assert out == {"a": [1, 2], "b": ["x", "y"]}
+        assert as_lists(out) == {"a": [1, 2], "b": ["x", "y"]}
 
     def test_single_column_list(self):
         signature = make_signature("t", [], returns_table=True,
                                    return_columns=[("v", SQLType.INTEGER)])
-        assert convert_table_result(signature, [1, 2, 3]) == {"v": [1, 2, 3]}
+        assert as_lists(convert_table_result(signature, [1, 2, 3])) == \
+            {"v": [1, 2, 3]}
 
     def test_case_insensitive_keys(self):
         signature = make_signature("t", [], returns_table=True,
                                    return_columns=[("Value", SQLType.INTEGER)])
-        assert convert_table_result(signature, {"value": [1]}) == {"Value": [1]}
+        assert as_lists(convert_table_result(signature, {"value": [1]})) == \
+            {"Value": [1]}
 
     def test_length_mismatch_raises(self):
         signature = make_signature(
