@@ -10,7 +10,9 @@ Three suites, selectable with ``--suite``:
   same workload shapes with the nested-loop/per-group engine at ``v0``.
 * ``netproto`` — result-set transfer cost: the columnar wire format (typed
   column buffers, PR 2) against the legacy per-value codec, with and without
-  compression, at 10k and 100k rows, written to ``BENCH_netproto.json``.
+  compression, at 10k and 100k rows, plus client row building (100k rows
+  fetched over loopback TCP with ``fetchmany``, and ``QueryResult.fetchall``
+  in-process), written to ``BENCH_netproto.json``.
   The legacy baselines are measured live so the speedup is same-machine.
 * ``persist``  — durable storage: insert throughput with write-ahead logging
   (vs in-memory, and with per-statement fsync), checkpoint time, cold-open
@@ -35,6 +37,7 @@ import os
 import platform
 import random
 import shutil
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -682,6 +685,74 @@ def _bench_columnar(result: QueryResult, codec: str, repeat: int,
     }
 
 
+def timing_stats(fn, *, repeat: int, setup=lambda: None) -> dict:
+    """Time ``fn(setup())`` ``repeat`` times after one warm-up call; only
+    ``fn`` is timed.  Reports n, median, min and interquartile range."""
+    fn(setup())
+    samples = []
+    for _ in range(repeat):
+        argument = setup()
+        start = time.perf_counter()
+        fn(argument)
+        samples.append(time.perf_counter() - start)
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"n": repeat, "median_ms": round(median * 1000, 3),
+            "min_ms": round(min(samples) * 1000, 3),
+            "iqr_ms": round((q3 - q1) * 1000, 3)}
+
+
+def run_row_fetch(*, quick: bool = False) -> dict:
+    """Building result rows on the client, a column at a time.
+
+    ``stream_fetchmany_*`` sends one SELECT over loopback TCP to an async
+    v4 server and drains it with ``execute_stream`` + ``fetchmany(1024)``;
+    ``result_fetchall_*`` times ``QueryResult.fetchall`` on a fresh
+    in-process result (value lists plus the row ``zip``).  The table is
+    (BIGINT, low-cardinality STRING shipped as a dictionary, DOUBLE with
+    20% NULL).
+    """
+    from repro.netproto.client import Connection, ConnectionInfo
+    from repro.netproto.server import AsyncSocketServer, DatabaseServer
+
+    rows = 10_000 if quick else 100_000
+    repeat = 3 if quick else 15
+    rng = random.Random(17)
+    database = Database()
+    database.execute("CREATE TABLE fetch_src (i BIGINT, s STRING, v DOUBLE)")
+    table = database.storage.table("fetch_src")
+    table.column("i").extend(range(rows))
+    table.column("s").extend(f"name_{i % STRING_CARDINALITY}"
+                             for i in range(rows))
+    table.column("v").extend(None if rng.random() < 0.2 else rng.random()
+                             for _ in range(rows))
+    sql = "SELECT i, s, v FROM fetch_src"
+    front = AsyncSocketServer(DatabaseServer(database), host="127.0.0.1",
+                              port=0)
+    host, port = front.start_background()
+    connection = Connection.connect_tcp(ConnectionInfo(host=host, port=port))
+
+    def fetch_stream(_: None) -> None:
+        stream = connection.execute_stream(sql)
+        fetched = 0
+        while batch := stream.fetchmany(1024):
+            fetched += len(batch)
+        assert fetched == rows, fetched
+
+    results = {
+        f"stream_fetchmany_{rows}": {
+            "rows": rows, "protocol_version": connection.protocol_version,
+            **timing_stats(fetch_stream, repeat=repeat)},
+        f"result_fetchall_{rows}": {
+            "rows": rows,
+            **timing_stats(lambda result: result.fetchall(), repeat=repeat,
+                           setup=lambda: database.execute(sql))},
+    }
+    connection.close()
+    front.stop()
+    database.close()
+    return results
+
+
 def run_concurrency(*, quick: bool = False) -> dict:
     """Concurrent clients against one server: throughput and tail latency.
 
@@ -1032,6 +1103,7 @@ def run_netproto(*, quick: bool = False) -> dict:
             "wire_bytes_ratio_legacy_over_dict": round(
                 legacy["wire_bytes"] / max(columnar_dict["wire_bytes"], 1), 2),
         }
+    results.update(run_row_fetch(quick=quick))
     results.update(run_concurrency(quick=quick))
     results.update(run_prepared(quick=quick))
     results.update(run_idle_connections(quick=quick))
@@ -1039,6 +1111,7 @@ def run_netproto(*, quick: bool = False) -> dict:
         "suite": "netproto-columnar-transfer",
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
         "quick": quick,
         "row_counts": row_counts,
         "results": results,
@@ -1081,6 +1154,11 @@ def _print_netproto(report: dict) -> None:
                   f"(opened in {entry['open_seconds']}s)")
             continue
         if name == "concurrency_cache_counters":
+            continue
+        if "median_ms" in entry:
+            print(f"  {name:>24}: median {entry['median_ms']:8.2f} ms  "
+                  f"min {entry['min_ms']:8.2f} ms  "
+                  f"IQR {entry['iqr_ms']:6.2f} ms  (n={entry['n']})")
             continue
         if "clients" in entry:
             print(f"  {name:>24}: {entry['queries_per_sec']:>6,} q/s  "

@@ -628,9 +628,15 @@ class ResultStream:
     Rows become available as their ``result_chunk`` frame arrives:
     ``fetchone``/``fetchmany`` pull exactly as many chunks as needed, so the
     first rows of a large result are usable while later chunks are still on
-    the wire.  ``result()`` (and therefore ``fetchall``) drains the stream
-    and yields the same lazily-decoded :class:`QueryResult` that
-    ``Connection.execute`` always returned.
+    the wire.  ``result()`` drains the stream and yields the same
+    lazily-decoded :class:`QueryResult` that ``Connection.execute`` always
+    returned.
+
+    Rows are built once per chunk, a column at a time: each column becomes
+    one Python value list and a single ``zip`` turns the lists into row
+    tuples.  ``fetchmany`` returns one slice of those rows, ``fetchone`` is
+    ``fetchmany(1)``, and ``fetchall`` is the remaining slice.  None of this
+    changes what travels on the wire.
     """
 
     def __init__(self, connection: Connection, *,
@@ -646,8 +652,7 @@ class ResultStream:
         self.trace_id: str | None = trace_id
         self._assembler = assembler
         self._result: QueryResult | None = None
-        self._all_rows: list[tuple] | None = None
-        self._rows: list[tuple] = []     # rows decoded so far, chunk by chunk
+        self._rows: list[tuple] = []     # rows built so far, chunk by chunk
         self._position = 0
         self._chunks_received = 0
         self._finalised = False
@@ -691,7 +696,7 @@ class ResultStream:
 
     @property
     def rows_decoded(self) -> int:
-        """Rows decoded so far via the incremental fetch path."""
+        """Rows built so far for the fetch methods."""
         return len(self._rows)
 
     # -- chunk consumption ----------------------------------------------- #
@@ -774,56 +779,39 @@ class ResultStream:
         return self._result
 
     # -- row access ------------------------------------------------------- #
-    def _row_at(self, index: int) -> tuple | None:
+    def _decoded_rows(self, stop: int | None) -> list[tuple]:
+        """The rows built so far, holding at least ``stop`` of them (every
+        row when ``stop`` is ``None``) unless the result is shorter.
+
+        Pulls chunk frames only while too few rows exist and the stream is
+        incomplete, so an exhausted stream never touches the transport.
+        """
         if not self._rows and self._finalised:
             # completed without incremental decoding (v1 payload, DML, or a
-            # drained stream): read rows from the assembled result
-            if self._all_rows is None:
-                self._all_rows = self.result().fetchall()
-            return self._all_rows[index] if index < len(self._all_rows) else None
+            # drained stream): take the rows from the assembled result
+            self._rows = self.result().fetchall()
         # incremental path: once any chunk was decoded into _rows, keep using
         # it — on completion it already holds every row (no second decode)
-        while index >= len(self._rows) and not self.complete:
+        while (stop is None or len(self._rows) < stop) and not self.complete:
             self._advance(decode_rows=True)
-        return self._rows[index] if index < len(self._rows) else None
+        return self._rows
 
     def fetchone(self) -> tuple | None:
-        row = self._row_at(self._position)
-        if row is not None:
-            self._position += 1
-        return row
+        rows = self.fetchmany(1)
+        return rows[0] if rows else None
 
     def fetchmany(self, size: int = 1) -> list[tuple]:
-        """Up to ``size`` more rows; ``[]`` once the stream is exhausted.
-
-        Exhaustion is a stable state: when the final chunk drained exactly
-        at a fetch boundary (``last``-flagged or counted), later calls keep
-        returning ``[]`` instead of touching the transport again —
-        ``_row_at`` only advances while the assembler reports the stream
-        incomplete.
-        """
-        rows = []
-        for _ in range(size):
-            row = self.fetchone()
-            if row is None:
-                break
-            rows.append(row)
+        """Up to ``size`` more rows, as one slice of the decoded rows; ``[]``
+        once the stream is exhausted."""
+        start = self._position
+        stop = start + max(size, 0)
+        rows = self._decoded_rows(stop)[start:stop]
+        self._position = start + len(rows)
         return rows
 
     def fetchall(self) -> list[tuple]:
-        if self._assembler is not None and (self._rows or not self._finalised):
-            # the incremental path was (or still is) in play: decode the
-            # remaining chunks into rows so positions stay consistent
-            while not self.complete:
-                self._advance(decode_rows=True)
-            rows = self._rows[self._position:]
-            self._position = len(self._rows)
-            return rows
-        result = self.result()
-        if self._all_rows is None:
-            self._all_rows = result.fetchall()
-        rows = self._all_rows[self._position:]
-        self._position = len(self._all_rows)
+        rows = self._decoded_rows(None)[self._position:]
+        self._position += len(rows)
         return rows
 
 
@@ -880,8 +868,9 @@ class Cursor:
 
 
 def _decoded_chunk_rows(columns: Sequence[Any]) -> list[tuple]:
-    """Materialise one decoded chunk's columns into row tuples."""
-    lists: list[list[Any]] = []
+    """One decoded chunk's row tuples: each column becomes one value list,
+    and a single ``zip`` builds the rows."""
+    lists: list[Sequence[Any]] = []
     for column in columns:
         data, mask = column.materialise()
         if isinstance(data, Vector):
@@ -889,8 +878,8 @@ def _decoded_chunk_rows(columns: Sequence[Any]) -> list[tuple]:
         elif isinstance(data, np.ndarray) or mask is not None:
             lists.append(arrays_to_values(data, mask))
         else:
-            lists.append(list(data))
-    return [tuple(row) for row in zip(*lists)] if lists else []
+            lists.append(data)
+    return list(zip(*lists))
 
 
 def split_statements(sql: str) -> list[str]:

@@ -45,7 +45,7 @@ from ..errors import WireFormatError
 from ..sqldb.result import QueryResult, ResultColumn
 from ..sqldb.storage import arrays_to_values
 from ..sqldb.types import SQLType
-from ..sqldb.vector import Vector
+from ..sqldb.vector import Vector, fill_nulls
 from . import compression as compression_mod
 from .wire import decode_value, encode_value
 
@@ -344,10 +344,7 @@ class DecodedColumn:
         else:
             values = [self.blob[start:stop]
                       for start, stop in zip(starts.tolist(), stops.tolist())]
-        if self.mask is not None:
-            for index in np.flatnonzero(self.mask):
-                values[index] = None
-        return values, None
+        return fill_nulls(values, self.mask), None
 
     def to_vector(self) -> Vector:
         """This column as a :class:`Vector` (the storage load format):

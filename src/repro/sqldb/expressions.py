@@ -239,9 +239,6 @@ class Batch:
                        if keep is True or keep == 1]
         return self.take(indices)
 
-    def row(self, index: int) -> tuple[Any, ...]:
-        return tuple(column.values[index] for column in self.columns)
-
 
 # --------------------------------------------------------------------------- #
 # Evaluation results

@@ -51,9 +51,8 @@ class Token:
     position: int
 
     def is_keyword(self, *names: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.value.upper() in {
-            name.upper() for name in names
-        }
+        """Whether this is one of the keywords ``names`` (upper-case)."""
+        return self.type is TokenType.KEYWORD and self.value.upper() in names
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.type.name}, {self.value!r}@{self.position})"

@@ -200,6 +200,8 @@ class QueryResult:
     Provides both columnar access (``column(name)``, ``to_dict()``) — the
     natural shape for the devUDF data-extraction path — and row access
     (``rows()``, ``fetchall()``) for the client-protocol/DB-API style use.
+    Row access never reads cell by cell: each column's value list is
+    materialised once and one ``zip`` builds the tuples.
     """
 
     def __init__(self, columns: Sequence[ResultColumn] | None = None,
@@ -264,8 +266,8 @@ class QueryResult:
         return self.column(name).values
 
     def rows(self) -> Iterator[tuple[Any, ...]]:
-        for index in range(self.row_count):
-            yield tuple(column.values[index] for column in self.columns)
+        """Row tuples, built by one ``zip`` over the columns' value lists."""
+        return zip(*[column.values for column in self.columns])
 
     def fetchall(self) -> list[tuple[Any, ...]]:
         return list(self.rows())

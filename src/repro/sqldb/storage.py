@@ -35,7 +35,8 @@ import numpy as np
 from ..errors import CatalogError, CorruptionError, ExecutionError
 from .schema import ColumnDef, TableSchema
 from .types import NUMPY_DTYPES, SQLType, coerce_value
-from .vector import NULL_CODE, NULL_FILL, Vector, slice_column_values
+from .vector import (NULL_CODE, NULL_FILL, Vector, fill_nulls,
+                     slice_column_values)
 
 
 #: The Python types :func:`coerce_value` returns for each SQL type (plus
@@ -308,10 +309,7 @@ def arrays_to_values(data: np.ndarray | Sequence[Any],
                      mask: np.ndarray | None = None) -> list[Any]:
     """Import a ``(data, mask)`` buffer pair back into a plain value list."""
     values = data.tolist() if isinstance(data, np.ndarray) else list(data)
-    if mask is not None:
-        for index in np.flatnonzero(mask):
-            values[index] = None
-    return values
+    return fill_nulls(values, mask)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,15 @@ NULL_FILL = {
 }
 
 
+def fill_nulls(values: list[Any], mask: np.ndarray | None) -> list[Any]:
+    """Put ``None`` into ``values`` wherever ``mask`` is set; returns
+    ``values``.  Indexes with Python ints, which beat NumPy scalars."""
+    if mask is not None:
+        for index in np.flatnonzero(mask).tolist():
+            values[index] = None
+    return values
+
+
 def combine_masks(*masks: np.ndarray | None) -> np.ndarray | None:
     """Union several validity masks (None means "no NULLs")."""
     present = [mask for mask in masks if mask is not None]
@@ -179,11 +188,7 @@ class Vector:
 
     def to_list(self) -> list[Any]:
         """Plain Python values, ``None`` at masked positions."""
-        values = self.decoded().tolist()
-        if self.mask is not None:
-            for index in np.flatnonzero(self.mask):
-                values[index] = None
-        return values
+        return fill_nulls(self.decoded().tolist(), self.mask)
 
     def to_numpy(self) -> np.ndarray:
         """The UDF handoff format (matches ``column_to_numpy`` exactly):
